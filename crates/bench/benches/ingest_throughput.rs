@@ -13,12 +13,17 @@
 //!   threaded `SimulationRunner`, exercising the sharded node indexes and the
 //!   per-container store locks without client-side hashing cost.
 //!
+//! A third group, `chunker_build/{fixed,cdc,gear,tttd}`, times building each
+//! chunker from its parameters — the fixed cost every client backup pays
+//! before its first byte is scanned.
+//!
 //! On a multi-core machine the pipeline at 4+ threads beats the serial path; on a
 //! single-core machine the sweep degenerates to measuring the (small) coordination
 //! overhead.  The banner prints a one-shot MB/s-per-thread-count table so the
 //! comparison is visible without reading criterion output.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sigma_chunking::ChunkerParams;
 use sigma_core::{DedupCluster, IngestPipeline, SigmaConfig, StreamPayload};
 use sigma_simulation::runner::{run_cluster, SimulationConfig};
 use sigma_workloads::payload::{versioned_payloads, VersionedPayloadParams};
@@ -121,9 +126,22 @@ fn bench_trace_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_chunker_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chunker_build");
+    for (name, params) in [
+        ("fixed", ChunkerParams::fixed(4096)),
+        ("cdc", ChunkerParams::cdc(1024, 4096, 16384)),
+        ("gear", ChunkerParams::gear_cdc(1024, 4096, 16384)),
+        ("tttd", ChunkerParams::tttd_default()),
+    ] {
+        group.bench_function(name, |b| b.iter(|| std::hint::black_box(params.build())));
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline_ingest, bench_trace_ingest
+    targets = bench_pipeline_ingest, bench_trace_ingest, bench_chunker_build
 }
 criterion_main!(benches);

@@ -34,7 +34,7 @@ const USAGE: &str = "usage: sigma-bench [--quick] [--label NAME] [--out PATH] \
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         quick: false,
-        label: "pr7".to_string(),
+        label: "local".to_string(),
         out: None,
         compare: None,
         tolerance_pct: 15.0,

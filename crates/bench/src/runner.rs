@@ -228,14 +228,16 @@ fn ingest_once(threads: usize, streams: &[StreamPayload], reference_hot_loops: b
     ));
     let pipeline = IngestPipeline::new(cluster.clone());
     let total: u64 = streams.iter().map(|s| s.data.len() as u64).sum();
+    // The pipeline consumes its streams; copy them outside the timed region.
+    let streams = streams.to_vec();
     let sw = Stopwatch::start();
     if reference_hot_loops {
         let chunker = reference::build(&ingest_chunker_params());
-        pipeline.backup_streams_with(streams.to_vec(), chunker.as_ref(), &|data| {
+        pipeline.backup_streams_with(streams, chunker.as_ref(), &|data| {
             sigma_hashkit::reference::ReferenceSha1::fingerprint_bytes(data)
         })
     } else {
-        pipeline.backup_streams(streams.to_vec())
+        pipeline.backup_streams(streams)
     }
     .expect("payload ingest cannot fail");
     cluster.flush();

@@ -534,7 +534,7 @@ mod tests {
 
     fn sample_report(calibration: f64, ingest: f64) -> BenchReport {
         BenchReport {
-            label: "pr7".to_string(),
+            label: "local".to_string(),
             mode: "quick".to_string(),
             calibration_mbps: calibration,
             ingest_speedup_vs_reference: 2.0,

@@ -135,32 +135,16 @@ impl BackupClient {
 
     /// Backs up an in-memory byte buffer as one file.
     ///
+    /// The buffer is chunked in place, fingerprinted, grouped into
+    /// super-chunks and routed.
+    ///
     /// # Errors
     ///
     /// Propagates routing/storage errors from the cluster.
     pub fn backup_bytes(&self, name: &str, data: &[u8]) -> Result<FileBackupReport> {
-        self.backup_reader(name, data)
-    }
-
-    /// Backs up anything readable as one file.
-    ///
-    /// The reader is consumed through the configured chunker; chunks are
-    /// fingerprinted, grouped into super-chunks and routed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors as storage errors and routing errors from the cluster.
-    pub fn backup_reader<R: Read>(&self, name: &str, mut reader: R) -> Result<FileBackupReport> {
-        let config = self.cluster.config().clone();
+        let config = self.cluster.config();
         let chunker = config.chunker.build();
         let algorithm = config.fingerprint_algorithm;
-
-        // Read the stream fully, then chunk it.  (The paper's prototype similarly
-        // stages data in a RAM file system before deduplication.)
-        let mut data = Vec::new();
-        reader
-            .read_to_end(&mut data)
-            .map_err(|e| crate::SigmaError::InvalidConfig(format!("read failed: {}", e)))?;
 
         let file_marker = self.cluster.director().file_count() as u64;
         let mut builder = SuperChunkBuilder::new(config.super_chunk_size);
@@ -175,7 +159,7 @@ impl BackupClient {
         };
 
         let mut pending: Vec<SuperChunk> = Vec::new();
-        for chunk in chunker.split(&data) {
+        for chunk in chunker.split(data) {
             report.chunks += 1;
             let descriptor =
                 ChunkDescriptor::new(algorithm.fingerprint(chunk.data()), chunk.len() as u32);
@@ -210,6 +194,23 @@ impl BackupClient {
                 .director()
                 .register_file(self.session_id, name, data.len() as u64, recipe);
         Ok(report)
+    }
+
+    /// Backs up anything readable as one file.
+    ///
+    /// The stream is read fully, then backed up like [`Self::backup_bytes`].
+    /// (The paper's prototype similarly stages data in a RAM file system
+    /// before deduplication.)
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors as storage errors and routing errors from the cluster.
+    pub fn backup_reader<R: Read>(&self, name: &str, mut reader: R) -> Result<FileBackupReport> {
+        let mut data = Vec::new();
+        reader
+            .read_to_end(&mut data)
+            .map_err(|e| crate::SigmaError::InvalidConfig(format!("read failed: {}", e)))?;
+        self.backup_bytes(name, &data)
     }
 
     /// Restores a previously backed-up file through the cluster.

@@ -39,38 +39,34 @@ fn degree(poly: u64) -> u32 {
     63 - poly.leading_zeros()
 }
 
-/// Reduces a 128-bit GF(2) polynomial modulo `poly`.
-fn polymod128(mut value: u128, poly: u64) -> u64 {
+/// `v · x^8 mod P` for a reduced `v`, given `r1 = byte_table(x^deg mod P)`:
+/// the byte shifted past the degree is folded back in by one table lookup.
+fn times_x8(v: u64, r1: &[u64; 256], deg: u32) -> u64 {
+    ((v << 8) & ((1u64 << deg) - 1)) ^ r1[(v >> (deg - 8)) as usize]
+}
+
+/// `j · m mod P` for every byte value `j`, for a reduced multiplier `m`.
+///
+/// Multiplying by a fixed `m` is GF(2)-linear in `j`, so the table is spanned
+/// by the 8-entry basis `x^b · m mod P`: each entry is the entry with its
+/// lowest set bit cleared XOR that bit's basis vector.  That is 8 shift-and-
+/// reduce steps and 255 XORs instead of 256 bit-serial multiplications.
+fn byte_table(m: u64, poly: u64) -> [u64; 256] {
     let deg = degree(poly);
-    let poly128 = poly as u128;
-    let mut bit = 127u32;
-    loop {
-        if value >> bit & 1 == 1 && bit >= deg {
-            value ^= poly128 << (bit - deg);
-        }
-        if bit == 0 {
-            break;
-        }
-        bit -= 1;
-    }
-    value as u64
-}
-
-/// Carry-less multiplication of two GF(2) polynomials (result up to 127 bits).
-fn polymul(a: u64, b: u64) -> u128 {
-    let mut result = 0u128;
-    let a = a as u128;
-    for i in 0..64 {
-        if b >> i & 1 == 1 {
-            result ^= a << i;
+    let mut basis = [0u64; 8];
+    let mut v = m;
+    for b in &mut basis {
+        *b = v;
+        v <<= 1;
+        if v >> deg & 1 == 1 {
+            v ^= poly;
         }
     }
-    result
-}
-
-/// Multiplies two polynomials modulo `poly`.
-fn polymulmod(a: u64, b: u64, poly: u64) -> u64 {
-    polymod128(polymul(a, b), poly)
+    let mut table = [0u64; 256];
+    for j in 1..256 {
+        table[j] = table[j & (j - 1)] ^ basis[j.trailing_zeros() as usize];
+    }
+    table
 }
 
 /// A table-driven Rabin rolling hash with an explicit byte window.
@@ -131,40 +127,27 @@ impl RabinHasher {
         let shift = deg - 8;
         let mask = (1u64 << deg) - 1;
 
-        // x^deg mod P
-        let x_deg_mod = polymod128(1u128 << deg, params.poly);
-        let mut append_table = [0u64; 256];
+        // Pure reduction of a byte overflowing at x^deg: j * (x^deg mod P),
+        // where x^deg mod P is the polynomial without its leading bit.
+        let r1_table = byte_table(params.poly & mask, params.poly);
+        // The append table also cancels the overflowing bits j << deg.
+        let mut append_table = r1_table;
         for (j, entry) in append_table.iter_mut().enumerate() {
-            // (j * x^deg) mod P, together with the bits j << deg that the append
-            // operation must cancel.
-            *entry = polymulmod(j as u64, x_deg_mod, params.poly) | ((j as u64) << deg);
+            *entry |= (j as u64) << deg;
         }
 
-        // The outgoing byte of a full window contributes b * x^(8*(W-1)); precompute
-        // x^(8*(W-1)) mod P and multiply per byte value.
+        // The outgoing byte of a full window contributes b * x^(8*(W-1)).
         let mut x_out = 1u64;
-        let x8 = polymod128(1u128 << 8, params.poly);
-        for _ in 0..(params.window_size - 1) {
-            x_out = polymulmod(x_out, x8, params.poly);
+        for _ in 1..params.window_size {
+            x_out = times_x8(x_out, &r1_table, deg);
         }
-        let mut remove_table = [0u64; 256];
-        for (j, entry) in remove_table.iter_mut().enumerate() {
-            *entry = polymulmod(j as u64, x_out, params.poly);
-        }
+        let remove_table = byte_table(x_out, params.poly);
 
-        // Tables for the two-byte-per-step scan: pure reductions of a byte
-        // overflowing at x^deg and x^(deg+8), plus the outgoing byte's
-        // contribution advanced by one append (x^(8(W-1)) * x^8 = x^(8W)).
-        let x_deg8_mod = polymulmod(x_deg_mod, x8, params.poly);
-        let x_out_shifted = polymulmod(x_out, x8, params.poly);
-        let mut r1_table = [0u64; 256];
-        let mut r2_table = [0u64; 256];
-        let mut remove_shift_table = [0u64; 256];
-        for j in 0..256usize {
-            r1_table[j] = polymulmod(j as u64, x_deg_mod, params.poly);
-            r2_table[j] = polymulmod(j as u64, x_deg8_mod, params.poly);
-            remove_shift_table[j] = polymulmod(j as u64, x_out_shifted, params.poly);
-        }
+        // Tables for the two-byte-per-step scan: a byte overflowing at
+        // x^(deg+8), and the outgoing byte's contribution advanced by one
+        // append (x^(8(W-1)) * x^8 = x^(8W)).
+        let r2_table = byte_table(times_x8(params.poly & mask, &r1_table, deg), params.poly);
+        let remove_shift_table = byte_table(times_x8(x_out, &r1_table, deg), params.poly);
 
         RabinHasher {
             deg,
@@ -363,6 +346,82 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    // Bit-serial GF(2) arithmetic: the oracle the linear-basis tables are
+    // checked against.
+
+    /// Reduces a 128-bit GF(2) polynomial modulo `poly`.
+    fn polymod128(mut value: u128, poly: u64) -> u64 {
+        let deg = degree(poly);
+        let poly128 = poly as u128;
+        let mut bit = 127u32;
+        loop {
+            if value >> bit & 1 == 1 && bit >= deg {
+                value ^= poly128 << (bit - deg);
+            }
+            if bit == 0 {
+                break;
+            }
+            bit -= 1;
+        }
+        value as u64
+    }
+
+    /// Carry-less multiplication of two GF(2) polynomials (result up to 127 bits).
+    fn polymul(a: u64, b: u64) -> u128 {
+        let mut result = 0u128;
+        let a = a as u128;
+        for i in 0..64 {
+            if b >> i & 1 == 1 {
+                result ^= a << i;
+            }
+        }
+        result
+    }
+
+    fn polymulmod(a: u64, b: u64, poly: u64) -> u64 {
+        polymod128(polymul(a, b), poly)
+    }
+
+    /// The five tables built one bit-serial multiplication per entry:
+    /// append, remove, r1, r2, remove-shift.
+    fn oracle_tables(params: RabinParams) -> [[u64; 256]; 5] {
+        let poly = params.poly;
+        let deg = degree(poly);
+        let x_deg_mod = polymod128(1u128 << deg, poly);
+        let x8 = polymod128(1u128 << 8, poly);
+        let mut x_out = 1u64;
+        for _ in 0..(params.window_size - 1) {
+            x_out = polymulmod(x_out, x8, poly);
+        }
+        let x_deg8_mod = polymulmod(x_deg_mod, x8, poly);
+        let x_out_shifted = polymulmod(x_out, x8, poly);
+        let mut tables = [[0u64; 256]; 5];
+        for j in 0..256u64 {
+            let i = j as usize;
+            tables[0][i] = polymulmod(j, x_deg_mod, poly) | (j << deg);
+            tables[1][i] = polymulmod(j, x_out, poly);
+            tables[2][i] = polymulmod(j, x_deg_mod, poly);
+            tables[3][i] = polymulmod(j, x_deg8_mod, poly);
+            tables[4][i] = polymulmod(j, x_out_shifted, poly);
+        }
+        tables
+    }
+
+    fn assert_tables_match_oracle(params: RabinParams) {
+        let h = RabinHasher::new(params);
+        let got = [
+            h.append_table,
+            h.remove_table,
+            h.r1_table,
+            h.r2_table,
+            h.remove_shift_table,
+        ];
+        let names = ["append", "remove", "r1", "r2", "remove_shift"];
+        for ((got, want), name) in got.iter().zip(oracle_tables(params)).zip(names) {
+            assert!(got == &want, "{name} table differs for {params:?}");
+        }
+    }
+
     fn fingerprint_of(data: &[u8], params: RabinParams) -> u64 {
         let mut h = RabinHasher::new(params);
         for &b in data {
@@ -449,7 +508,28 @@ mod tests {
         assert_eq!(polymul(0b10, 0b100), 0b1000);
     }
 
+    #[test]
+    fn default_tables_match_bit_serial_oracle() {
+        for window_size in [1, 2, 16, DEFAULT_WINDOW_SIZE, 64, 256] {
+            assert_tables_match_oracle(RabinParams {
+                window_size,
+                ..RabinParams::default()
+            });
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_tables_match_bit_serial_oracle(
+            deg in 9u32..57,
+            bits in any::<u64>(),
+            window_size in 1usize..257,
+        ) {
+            // Leading and constant coefficients set, the rest random.
+            let poly = (bits & ((1u64 << deg) - 1)) | (1u64 << deg) | 1;
+            assert_tables_match_oracle(RabinParams { poly, window_size });
+        }
+
         #[test]
         fn prop_window_locality(
             prefix_a in proptest::collection::vec(any::<u8>(), 0..200),

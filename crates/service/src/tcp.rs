@@ -15,11 +15,21 @@ use crate::codec::{
 };
 use crate::{RequestEnvelope, ResponseEnvelope};
 use sigma_core::ServiceCode;
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+
+/// Live connections by connection id: one stream clone each, so shutdown can
+/// sever streams that are blocked waiting for a client's next frame.  A
+/// connection thread removes its own entry when it stops serving.
+type Registry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+fn lock(registry: &Registry) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    registry.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A running framed-TCP server in front of a [`ServiceStack`].
 ///
@@ -28,9 +38,7 @@ use std::thread::JoinHandle;
 pub struct TcpService {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// One clone per live connection, so shutdown can sever streams that are
-    /// blocked waiting for a client's next frame.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Registry,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -45,28 +53,41 @@ impl TcpService {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Registry = Arc::default();
         let accept_shutdown = shutdown.clone();
         let accept_conns = conns.clone();
         let accept_thread = std::thread::Builder::new()
             .name("sigma-service-accept".into())
             .spawn(move || {
                 let mut workers = Vec::new();
-                for conn in listener.incoming() {
+                for (id, conn) in (0u64..).zip(listener.incoming()) {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
                     if let Ok(clone) = stream.try_clone() {
-                        let mut registry = accept_conns.lock().unwrap_or_else(|e| e.into_inner());
-                        registry.push(clone);
+                        let mut registry = lock(&accept_conns);
+                        // Re-checked under the lock: shutdown raises the flag
+                        // before draining, so a stream registered here is
+                        // either drained by it or never served.
+                        if accept_shutdown.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        registry.insert(id, clone);
                     }
                     let stack = stack.clone();
-                    if let Ok(handle) = std::thread::Builder::new()
+                    let conns = accept_conns.clone();
+                    let spawned = std::thread::Builder::new()
                         .name("sigma-service-conn".into())
-                        .spawn(move || serve_connection(stream, &stack))
-                    {
-                        workers.push(handle);
+                        .spawn(move || {
+                            serve_connection(stream, &stack);
+                            lock(&conns).remove(&id);
+                        });
+                    match spawned {
+                        Ok(handle) => workers.push(handle),
+                        Err(_) => {
+                            lock(&accept_conns).remove(&id);
+                        }
                     }
                     workers.retain(|w| !w.is_finished());
                 }
@@ -95,8 +116,8 @@ impl TcpService {
         }
         // Connection threads block in read_frame until their client's next
         // frame; sever the streams so they observe EOF and exit.
-        let registry = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
-        for stream in registry {
+        let registry = std::mem::take(&mut *lock(&self.conns));
+        for stream in registry.into_values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // `incoming()` blocks in accept(2); poke it awake with a throwaway
@@ -356,6 +377,60 @@ mod tests {
             assert!(resp.is_ok());
         } // client drops: connection thread sees EOF and exits.
         service.shutdown();
+    }
+
+    /// Polls until the server's connection registry holds `want` entries.
+    fn wait_for_registry_len(service: &TcpService, want: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let len = lock(&service.conns).len();
+            if len == want {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "registry stuck at {len} live connections, want {want}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry_and_shutdown_severs_blocked_reads() {
+        use std::io::{Read, Write};
+
+        let (mut service, _stack) = serve_default_stack();
+        let addr = service.local_addr();
+        for _ in 0..200 {
+            drop(TcpStream::connect(addr).unwrap());
+        }
+        // Connections are accepted in order, so once this call is answered
+        // every earlier one has been registered.
+        let mut client = TcpClient::connect(addr).unwrap();
+        let resp = client
+            .call(&RequestEnvelope::new(1, "acme", Operation::Stats).with_token("s3cret"))
+            .unwrap();
+        assert!(resp.is_ok());
+        drop(client);
+        wait_for_registry_len(&service, 0);
+
+        // A frame header with no body leaves the server blocked mid-read.
+        let mut blocked = TcpStream::connect(addr).unwrap();
+        blocked.write_all(&16u32.to_le_bytes()).unwrap();
+        wait_for_registry_len(&service, 1);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            service.shutdown();
+            done_tx.send(lock(&service.conns).len()).unwrap();
+        });
+        let left = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("shutdown must sever the blocked connection and return");
+        assert_eq!(left, 0);
+        blocked
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(blocked.read(&mut [0u8; 1]).unwrap(), 0, "server closed");
     }
 
     #[test]

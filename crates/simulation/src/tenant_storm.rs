@@ -854,6 +854,11 @@ mod tests {
             // demand is exhausted, so no DRR turn is ever forfeited to
             // client-wakeup jitter (tenants here have only two clients).
             max_tenant_inflight_bytes: 8 << 10,
+            // Fewer slots than tenants, so the DRR scheduler decides who
+            // runs.  With a slot per tenant (and the cap above allowing one
+            // running request each) it never has to choose, and the
+            // fairness figure measures OS thread scheduling instead.
+            max_concurrent: 4,
             ..TenantStormConfig::default()
         }
     }
