@@ -29,6 +29,7 @@ use sigma_workloads::payload::{
     VersionedPayloadParams,
 };
 use sigma_workloads::{presets, Scale};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// How the runner is invoked.
@@ -520,7 +521,9 @@ fn replay_config() -> SigmaConfig {
 }
 
 /// Journals `bytes` of payload on a durable node and returns the image a
-/// crash would leave behind, optionally compacted first.
+/// crash would leave behind, optionally compacted first.  Before compacting,
+/// every other sealed container is swept as dead, as after a deletion and GC,
+/// so the compaction has superseded records to fold away.
 fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8> {
     let node = DedupNode::new(0, config);
     let client_chunks: Vec<Vec<u8>> = random_bytes(bytes, 0x4EC0)
@@ -534,6 +537,18 @@ fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8>
     }
     node.try_flush().expect("no faults in bench");
     if compacted {
+        let live: HashMap<_, HashSet<_>> = node
+            .sealed_container_ids()
+            .into_iter()
+            .step_by(2)
+            .map(|cid| {
+                let container = node.export_container(&cid).expect("sealed container");
+                let fps = container.meta().records.iter().map(|r| r.fingerprint);
+                (cid, fps.collect())
+            })
+            .collect();
+        node.sweep_garbage(&live, config.gc_liveness_threshold)
+            .expect("no faults in bench");
         node.compact_journal().expect("no faults in bench");
     }
     node.journal().expect("durable node has a journal").bytes()
@@ -542,8 +557,15 @@ fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8>
 /// Raw vs. compacted journal replay; MB/s of journal bytes consumed.
 fn replay_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
     let config = replay_config();
-    for (name, compacted) in [("replay_raw", false), ("replay_compacted", true)] {
-        let image = journal_image(&config, sizes.replay_payload_bytes, compacted);
+    let raw = journal_image(&config, sizes.replay_payload_bytes, false);
+    let compacted = journal_image(&config, sizes.replay_payload_bytes, true);
+    assert!(
+        compacted.len() < raw.len(),
+        "compaction must shrink a journal holding dead containers ({} >= {} bytes)",
+        compacted.len(),
+        raw.len()
+    );
+    for (name, image) in [("replay_raw", raw), ("replay_compacted", compacted)] {
         let mbps = best_of(sizes.reps, || {
             let journal = Arc::new(Journal::from_bytes(image.clone()));
             let sw = Stopwatch::start();

@@ -2,8 +2,8 @@
 //! headline throughput numbers, plus the calibration-normalized comparison CI
 //! uses to fail on regressions.
 //!
-//! The vendored serde shim is derive-only, so the report defines its own tiny
-//! JSON writer and reader.  The format is stable within a schema version; the
+//! The workspace has no serialization dependency, so the report defines its
+//! own tiny JSON writer and reader.  The format is stable within a schema version; the
 //! reader rejects unknown versions loudly instead of mis-parsing them.
 //!
 //! # Byte bases

@@ -1,9 +1,7 @@
 //! Chunk value types shared by the chunkers and the deduplication layers.
 
-use serde::{Deserialize, Serialize};
-
 /// The position of a chunk within its source stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkSpan {
     /// Byte offset of the chunk start within the stream.
     pub offset: u64,
@@ -35,7 +33,7 @@ impl ChunkSpan {
 /// assert_eq!(c.len(), 128);
 /// assert!(!c.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     span: ChunkSpan,
     data: Vec<u8>,

@@ -11,12 +11,11 @@
 use crate::{
     ChunkDescriptor, DedupCluster, FileId, RecipeEntry, Result, SuperChunk, SuperChunkBuilder,
 };
-use serde::{Deserialize, Serialize};
 use std::io::Read;
 use std::sync::Arc;
 
 /// Summary of one file (or stream) backup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileBackupReport {
     /// The file ID assigned by the director (use it to restore).
     pub file_id: FileId,

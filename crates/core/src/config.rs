@@ -1,10 +1,9 @@
 //! Configuration of the Σ-Dedupe framework.
 
 use crate::SigmaError;
-use serde::{Deserialize, Serialize};
 use sigma_chunking::ChunkerParams;
 use sigma_hashkit::FingerprintAlgorithm;
-use sigma_storage::{BackendKind, DiskParams};
+use sigma_storage::BackendKind;
 use std::path::PathBuf;
 
 /// Tunable parameters of backup clients, deduplication nodes and the cluster.
@@ -38,7 +37,7 @@ use std::path::PathBuf;
 /// considered deprecated style: it compiles, but nothing validates the result
 /// until a component happens to call `validate` itself.  The fields stay
 /// `pub` for read access and for spread-syntax updates in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SigmaConfig {
     /// Target super-chunk size in bytes (the routing granularity). Default: 1 MB.
     pub super_chunk_size: usize,
@@ -100,17 +99,10 @@ pub struct SigmaConfig {
     /// doubles the memory footprint of a simulated node; experiments that never
     /// crash nodes leave it off.  Default: `false`.
     pub durability: bool,
-    /// Parameters of each node's simulated disk.  Validated at build time so a
-    /// zero/negative/non-finite value cannot poison simulated latencies with
-    /// inf/NaN.  Default: [`DiskParams::default`] (the paper's testbed HDD).
-    pub disk_params: DiskParams,
     /// Which storage backend each node's journal and container store live on.
     ///
-    /// * [`BackendKind::SimDisk`] (the default): volatile buffers charged to the
-    ///   node's simulated [`DiskModel`](sigma_storage::DiskModel) — exactly the
-    ///   behaviour every figure reproduction and fault-injection test runs
-    ///   against;
-    /// * [`BackendKind::Memory`]: volatile buffers with no disk accounting;
+    /// * [`BackendKind::Memory`] (the default): volatile buffers — the medium
+    ///   every figure reproduction and fault-injection test runs against;
     /// * [`BackendKind::File`]: one real directory per node under
     ///   [`storage_root`](Self::storage_root) (`node-<id>/` holding
     ///   `journal.wal` and `container-*.sc`), fsynced at the acknowledgement
@@ -148,8 +140,7 @@ impl Default for SigmaConfig {
             restore_parallelism: 1,
             restore_cache_bytes: 64 << 20,
             durability: false,
-            disk_params: DiskParams::default(),
-            storage_backend: BackendKind::SimDisk,
+            storage_backend: BackendKind::Memory,
             storage_root: None,
             gc_liveness_threshold: 0.5,
         }
@@ -269,9 +260,6 @@ impl SigmaConfig {
             }
         }
         self.chunker.validate().map_err(SigmaError::InvalidConfig)?;
-        self.disk_params
-            .validate()
-            .map_err(|e| SigmaError::InvalidConfig(e.to_string()))?;
         Ok(())
     }
 
@@ -380,12 +368,6 @@ impl SigmaConfigBuilder {
     /// Enables or disables the per-node write-ahead journal (crash recovery).
     pub fn durability(mut self, enabled: bool) -> Self {
         self.config.durability = enabled;
-        self
-    }
-
-    /// Sets the simulated-disk parameters (validated by [`build`](Self::build)).
-    pub fn disk_params(mut self, params: DiskParams) -> Self {
-        self.config.disk_params = params;
         self
     }
 
@@ -543,45 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_params_are_validated_at_build_time() {
-        for bad in [0.0, -8000.0, f64::NAN, f64::INFINITY] {
-            let err = SigmaConfig::builder()
-                .disk_params(DiskParams {
-                    random_io_us: bad,
-                    ..DiskParams::default()
-                })
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(&err, SigmaError::InvalidConfig(msg) if msg.contains("random_io_us")),
-                "expected InvalidConfig naming the field, got {:?}",
-                err
-            );
-            assert!(SigmaConfig::builder()
-                .disk_params(DiskParams {
-                    sequential_mb_per_s: bad,
-                    ..DiskParams::default()
-                })
-                .build()
-                .is_err());
-        }
-        // A custom-but-sane disk is accepted and carried through.
-        let fast = SigmaConfig::builder()
-            .disk_params(DiskParams {
-                random_io_us: 100.0,
-                sequential_mb_per_s: 500.0,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(fast.disk_params.random_io_us, 100.0);
-        assert!(!SigmaConfig::default().durability, "journaling is opt-in");
-    }
-
-    #[test]
     fn chunker_orderings_are_validated_at_build_time() {
         use sigma_chunking::ChunkerParams;
         // Zero sizes and broken min ≤ avg ≤ max orderings are rejected with an
-        // InvalidConfig naming the offending field, mirroring DiskParams.
+        // InvalidConfig naming the offending field.
         for (bad, field) in [
             (ChunkerParams::fixed(0), "chunk_size"),
             (ChunkerParams::cdc(0, 4096, 16384), "min_size"),
@@ -633,10 +580,11 @@ mod tests {
     fn file_backend_requires_root_and_durability() {
         assert_eq!(
             SigmaConfig::default().storage_backend,
-            BackendKind::SimDisk,
-            "the simulated disk stays the default"
+            BackendKind::Memory,
+            "the in-memory backend is the default"
         );
         assert_eq!(SigmaConfig::default().storage_root, None);
+        assert!(!SigmaConfig::default().durability, "journaling is opt-in");
         // File backend without a root is rejected.
         let err = SigmaConfig::builder()
             .storage_backend(BackendKind::File)

@@ -9,7 +9,7 @@
 //! 2. **prefetch** the chunk-fingerprint lists of the matched containers into the
 //!    chunk-fingerprint cache (one sequential metadata read per container);
 //! 3. resolve every chunk fingerprint against the cache; only cache misses may fall
-//!    back to the traditional on-disk chunk index (a simulated random disk read), and
+//!    back to the traditional on-disk chunk index (a random index read), and
 //!    that fallback can be disabled entirely for the approximate mode of Fig. 5(b);
 //! 4. store unique chunks into the per-stream open container and finally map the
 //!    super-chunk's representative fingerprints to that container in the similarity
@@ -17,20 +17,19 @@
 
 use crate::{ChunkDescriptor, Handprint, Result, SigmaConfig, SigmaError, SuperChunk};
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use sigma_storage::{
     BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
-    ContainerId, ContainerStore, ContainerStoreStats, DiskModel, DiskStats, FileBackend,
-    FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot, SimDiskBackend,
-    SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
+    ContainerId, ContainerStore, ContainerStoreStats, FileBackend, FingerprintCache, Journal,
+    JournalRecord, MemoryBackend, NodeSnapshot, SimilarityIndex, SimilarityIndexStats,
+    StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result of deduplicating one super-chunk on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SuperChunkReceipt {
     /// Node that processed the super-chunk.
     pub node_id: usize,
@@ -63,7 +62,7 @@ impl SuperChunkReceipt {
 }
 
 /// Point-in-time statistics of a [`DedupNode`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeStats {
     /// Node identifier.
     pub node_id: usize,
@@ -87,8 +86,6 @@ pub struct NodeStats {
     pub chunk_index: ChunkIndexStats,
     /// Container store statistics.
     pub containers: ContainerStoreStats,
-    /// Simulated disk statistics.
-    pub disk: DiskStats,
     /// Estimated RAM used by the similarity index, in bytes.
     pub similarity_index_ram_bytes: u64,
     /// Estimated size of the full chunk index, in bytes (what a traditional design
@@ -127,7 +124,6 @@ pub struct DedupNode {
     cache: FingerprintCache,
     chunk_index: ChunkIndex,
     store: ContainerStore,
-    disk: Arc<DiskModel>,
     logical_bytes: AtomicU64,
     total_chunks: AtomicU64,
     unique_chunks: AtomicU64,
@@ -225,8 +221,7 @@ impl DedupNode {
     /// Panics if the configured file backend's directory cannot be created or
     /// reset — a node whose durable medium is unusable must not come up.
     fn empty(id: usize, config: &SigmaConfig, journaled: bool) -> Self {
-        let disk = Arc::new(DiskModel::new(config.disk_params));
-        let backend = Self::build_backend(id, config, &disk);
+        let backend = Self::build_backend(id, config);
         if journaled && backend.persistent() {
             // A brand-new durable node starts from a clean slate: stale objects
             // from a previous incarnation in a reused directory must not leak
@@ -250,9 +245,8 @@ impl DedupNode {
             chunk_index_fallback: config.chunk_index_fallback,
             similarity_index: SimilarityIndex::new(config.similarity_index_locks),
             cache: FingerprintCache::new(config.cache_containers),
-            chunk_index: ChunkIndex::with_disk(disk.clone()),
+            chunk_index: ChunkIndex::new(),
             store,
-            disk,
             logical_bytes: AtomicU64::new(0),
             total_chunks: AtomicU64::new(0),
             unique_chunks: AtomicU64::new(0),
@@ -269,14 +263,9 @@ impl DedupNode {
     ///
     /// Panics when the file backend's directory cannot be opened; config
     /// validation guarantees `storage_root` is present for the file kind.
-    fn build_backend(
-        id: usize,
-        config: &SigmaConfig,
-        disk: &Arc<DiskModel>,
-    ) -> Arc<dyn StorageBackend> {
+    fn build_backend(id: usize, config: &SigmaConfig) -> Arc<dyn StorageBackend> {
         match config.storage_backend {
             BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::SimDisk => Arc::new(SimDiskBackend::new(disk.clone())),
             BackendKind::File => {
                 let dir = config
                     .node_storage_dir(id)
@@ -311,10 +300,6 @@ impl DedupNode {
         journal: Arc<Journal>,
     ) -> Result<(Self, RecoveryReport)> {
         let node = Self::empty(id, config, false);
-        // The journal survives the crash; the dead node's DiskModel does not.
-        // Re-target it first so the replay read and every later append is
-        // charged to the recovered node's disk.
-        journal.attach_disk(node.disk.clone());
         let (records, summary) = journal.recover_truncating();
         let mut report = RecoveryReport {
             node_id: id,
@@ -579,8 +564,8 @@ impl DedupNode {
     /// Counts how many of the given chunk fingerprints this node already stores.
     ///
     /// Used by the *stateful* baseline router, which consults every node's stored
-    /// state; the probe does not charge simulated disk I/O (the paper's stateful
-    /// scheme keeps a sampled in-RAM index for this purpose).
+    /// state; the probe does not count as a chunk-index lookup (the paper's
+    /// stateful scheme keeps a sampled in-RAM index for this purpose).
     pub fn count_stored_fingerprints(&self, fingerprints: &[Fingerprint]) -> usize {
         fingerprints
             .iter()
@@ -845,7 +830,7 @@ impl DedupNode {
     /// Resolves a fingerprint to its record extent for the planned restore
     /// pipeline, with exactly [`read_chunk`](Self::read_chunk)'s error mapping
     /// (including the tombstone hop into [`SigmaError::ChunkMigrated`]) but
-    /// without touching any payload.  The chunk-index lookup is charged
+    /// without touching any payload.  The chunk-index lookup is counted
     /// identically to the serial path's.
     ///
     /// # Errors
@@ -930,8 +915,8 @@ impl DedupNode {
 
     // ---- Garbage collection (used by `DedupCluster::collect_garbage`) ----
 
-    /// The finalized chunk-index location of a fingerprint, without charging
-    /// simulated disk I/O or lookup statistics — the GC mark phase's resolver.
+    /// The finalized chunk-index location of a fingerprint, without touching
+    /// the lookup statistics — the GC mark phase's resolver.
     pub fn chunk_location(&self, fingerprint: &Fingerprint) -> Option<ChunkLocation> {
         self.chunk_index.lookup_silent(fingerprint)
     }
@@ -1060,9 +1045,9 @@ impl DedupNode {
         self.forwarding.read().get(container).copied()
     }
 
-    /// Clones a sealed container out of this node for migration (charged to the
-    /// disk model as a sequential read).  The container remains readable here until
-    /// [`retire_container`](Self::retire_container) completes the hand-off.
+    /// Clones a sealed container out of this node for migration.  The container
+    /// remains readable here until [`retire_container`](Self::retire_container)
+    /// completes the hand-off.
     pub fn export_container(&self, container: &ContainerId) -> Option<Container> {
         self.store.export_sealed(container)
     }
@@ -1362,7 +1347,6 @@ impl DedupNode {
             cache: self.cache.stats(),
             chunk_index: self.chunk_index.stats(),
             containers: self.store.stats(),
-            disk: self.disk.stats(),
             similarity_index_ram_bytes: self.similarity_index.estimated_ram_bytes() as u64,
             chunk_index_bytes: self.chunk_index.estimated_bytes() as u64,
         }

@@ -8,12 +8,11 @@
 //! routing decision.
 
 use crate::Handprint;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintAlgorithm};
 
 /// Fingerprint and size of one chunk (the form in which chunks travel once the
 /// client has fingerprinted them, and the only form needed in trace-driven mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkDescriptor {
     /// The chunk's fingerprint.
     pub fingerprint: Fingerprint,

@@ -11,7 +11,6 @@
 //! read off the medium reached the user, below 1.0 means the container read
 //! cache absorbed repeat visits.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomic aggregate of restore observations; see the module docs.
@@ -64,7 +63,7 @@ impl RestoreCounters {
 }
 
 /// One restore's observation, or a point-in-time aggregate of many.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreSnapshot {
     /// Restore operations observed (1 when used as a single observation).
     pub restores: u64,

@@ -23,6 +23,10 @@ use std::io::{self, Read, Write};
 /// Hard cap on a frame body; larger lengths are rejected as corruption.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
+/// Largest piece of a frame body [`read_frame`] allocates ahead of the bytes
+/// arriving, so a declared length alone cannot reserve [`MAX_FRAME_BYTES`].
+const READ_STEP_BYTES: usize = 1 << 20;
+
 /// Wire format version stamped into every frame.
 pub const WIRE_VERSION: u8 = 1;
 
@@ -353,6 +357,10 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), CodecError> {
 /// A clean disconnect before the length prefix surfaces as
 /// [`CodecError::Io`] with [`io::ErrorKind::UnexpectedEof`] — see
 /// [`is_clean_eof`].
+///
+/// The body grows in steps of at most 1 MiB as its bytes arrive, so a peer
+/// that declares a large frame and then stalls or disconnects costs one step,
+/// not the declared length.  A body of 1 MiB or less is one exact allocation.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, CodecError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -360,8 +368,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, CodecError> {
     if len > MAX_FRAME_BYTES {
         return Err(CodecError::FrameTooLarge { len });
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let len = len as usize;
+    let mut body = Vec::with_capacity(len.min(READ_STEP_BYTES));
+    while body.len() < len {
+        let start = body.len();
+        body.resize(len.min(start + READ_STEP_BYTES), 0);
+        r.read_exact(&mut body[start..])?;
+    }
     Ok(body)
 }
 
@@ -435,6 +448,43 @@ mod tests {
         }
         let eof = read_frame(&mut cursor).unwrap_err();
         assert!(is_clean_eof(&eof));
+
+        // A body spanning several read steps arrives intact.
+        let big: Vec<u8> = (0..3 * READ_STEP_BYTES + 7).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        assert_eq!(read_frame(&mut io::Cursor::new(wire)).unwrap(), big);
+    }
+
+    #[test]
+    fn declared_length_alone_allocates_at_most_one_step() {
+        /// Yields a 64 MiB length prefix, then EOF; records the largest
+        /// buffer `read_frame` asks it to fill.
+        struct HeaderThenEof {
+            header: io::Cursor<[u8; 4]>,
+            largest_ask: usize,
+        }
+        impl Read for HeaderThenEof {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.header.read(buf)?;
+                if n == 0 {
+                    self.largest_ask = self.largest_ask.max(buf.len());
+                }
+                Ok(n)
+            }
+        }
+        let mut reader = HeaderThenEof {
+            header: io::Cursor::new(MAX_FRAME_BYTES.to_le_bytes()),
+            largest_ask: 0,
+        };
+        let err = read_frame(&mut reader).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{}",
+            err
+        );
+        assert!(reader.largest_ask > 0, "the body read was attempted");
+        assert!(reader.largest_ask <= READ_STEP_BYTES);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! concurrently — the multi-user ingest pattern the paper's throughput
 //! experiments assume.
 
-use serde::{Deserialize, Serialize};
 use sigma_core::{ChunkDescriptor, DataRouter, DedupCluster, SigmaConfig, SuperChunkBuilder};
 use sigma_metrics::ClusterRunSummary;
 use sigma_workloads::{DatasetTrace, FileTrace};
 
 /// Parameters of one simulated cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Number of deduplication nodes.
     pub node_count: usize,

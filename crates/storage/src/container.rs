@@ -6,7 +6,6 @@
 //! container granularity, which preserves the locality of a backup stream: chunks
 //! that were written together are read (and their fingerprints prefetched) together.
 
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 
 /// Magic prefix of a serialized container object ("SCNT").
@@ -24,9 +23,7 @@ pub(crate) const CONTAINER_BLOB_VERSION: u8 = 1;
 pub const CONTAINER_BLOB_DATA_OFFSET: usize = 4 + 1 + 8 + 8 + 4;
 
 /// Identifier of a container within one deduplication node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ContainerId(u64);
 
 impl ContainerId {
@@ -48,7 +45,7 @@ impl std::fmt::Display for ContainerId {
 }
 
 /// Metadata record for one chunk inside a container's metadata section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// Fingerprint of the chunk.
     pub fingerprint: Fingerprint,
@@ -59,7 +56,7 @@ pub struct ChunkRecord {
 }
 
 /// The metadata section of a container.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContainerMeta {
     /// Chunk records in write order.
     pub records: Vec<ChunkRecord>,
@@ -81,8 +78,8 @@ impl ContainerMeta {
         self.records.is_empty()
     }
 
-    /// Size in bytes of the serialized metadata section (fixed-width estimate used
-    /// by the disk model: fingerprint + offset + length per record).
+    /// Size in bytes of the serialized metadata section (fingerprint + offset +
+    /// length per record, as [`Container::encode_blob`] writes it).
     pub fn serialized_size(&self) -> usize {
         self.records.len() * (Fingerprint::LEN + 8)
     }
@@ -94,7 +91,7 @@ impl ContainerMeta {
 /// when the node is driven by a fingerprint trace rather than real data; the data
 /// section then stays shorter than the logical size and those chunks cannot be read
 /// back.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Container {
     id: ContainerId,
     meta: ContainerMeta,

@@ -3,9 +3,8 @@
 //! The deduplication server keeps one *open* container per incoming data stream so
 //! that the chunks of different backup streams do not interleave (which would destroy
 //! the locality the fingerprint cache depends on).  When an open container fills up
-//! it is sealed, charged to the disk model as a sequential write, and a new one is
-//! opened.  Sealed containers can be read back for restores and for fingerprint
-//! prefetching.
+//! it is sealed and a new one is opened.  Sealed containers can be read back for
+//! restores and for fingerprint prefetching.
 //!
 //! Concurrency: each open container sits behind its own mutex, so streams append
 //! in parallel and only contend when they touch the *same* stream's container —
@@ -18,12 +17,10 @@
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
-    ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta, DiskModel, Journal,
-    JournalRecord, MemoryBackend, Result, SimDiskBackend, StorageBackend, StorageError,
-    StorageObject, CONTAINER_BLOB_DATA_OFFSET,
+    ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta, Journal, JournalRecord,
+    MemoryBackend, Result, StorageBackend, StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,9 +34,9 @@ pub type StreamId = u64;
 pub const DEFAULT_CONTAINER_CAPACITY: usize = 4 * 1024 * 1024;
 
 /// Aggregate statistics of a [`ContainerStore`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerStoreStats {
-    /// Containers sealed and written to (simulated) disk.
+    /// Containers sealed and written to the backend.
     pub sealed_containers: u64,
     /// Containers still open.
     pub open_containers: u64,
@@ -61,7 +58,7 @@ pub struct ContainerStoreStats {
 
 /// Per-container live/dead byte accounting, as of the last GC mark that scored
 /// the container (see [`ContainerStore::container_liveness`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerLiveness {
     /// Bytes of chunks referenced by at least one surviving recipe.
     pub live_bytes: u64,
@@ -124,10 +121,9 @@ struct OpenSlot {
 /// ```
 pub struct ContainerStore {
     capacity: usize,
-    /// The durable medium.  Volatile backends ([`MemoryBackend`],
-    /// [`SimDiskBackend`]) carry no container objects — the journal flowing
-    /// through the same simulated medium already embeds every sealed container,
-    /// so mirroring them would only double RAM.  A persistent backend
+    /// The durable medium.  The volatile [`MemoryBackend`] carries no container
+    /// objects — the journal flowing through the same medium already embeds
+    /// every sealed container, so mirroring them would only double RAM.  A persistent backend
     /// ([`persistent`](StorageBackend::persistent)) gets one object per sealed
     /// container, written at the same journal-first ack points, and the restore
     /// path reads payload bytes back *from the object* so the files are
@@ -209,7 +205,7 @@ pub struct BatchedReadStats {
 }
 
 /// Location information returned when a chunk is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredChunk {
     /// Container the chunk was appended to.
     pub container: ContainerId,
@@ -253,16 +249,8 @@ impl ContainerStore {
         ContainerStore::new(DEFAULT_CONTAINER_CAPACITY)
     }
 
-    /// Attaches a disk model: sealed containers are charged as sequential writes,
-    /// metadata and data reads as sequential reads.  (Equivalent to
-    /// [`with_backend`](Self::with_backend) with a [`SimDiskBackend`].)
-    pub fn with_disk(self, disk: Arc<DiskModel>) -> Self {
-        self.with_backend(Arc::new(SimDiskBackend::new(disk)))
-    }
-
-    /// Attaches a storage backend.  Disk-model charging follows the backend's
-    /// own [`disk`](StorageBackend::disk); persistent backends additionally get
-    /// one object per sealed container.
+    /// Attaches a storage backend.  Persistent backends get one object per
+    /// sealed container.
     pub fn with_backend(mut self, backend: Arc<dyn StorageBackend>) -> Self {
         self.backend = backend;
         self
@@ -271,10 +259,6 @@ impl ContainerStore {
     /// The backend this store's sealed containers live on.
     pub fn backend(&self) -> Arc<dyn StorageBackend> {
         self.backend.clone()
-    }
-
-    fn disk(&self) -> Option<Arc<DiskModel>> {
-        self.backend.disk()
     }
 
     /// Attaches a write-ahead journal: every seal and adoption appends its records
@@ -446,9 +430,8 @@ impl ContainerStore {
 
     /// Seals a group of full containers as one buffered write: every container's
     /// seal and batched chunk-index finalize goes into a single journal group
-    /// commit, and the containers' data+metadata sections are charged to the
-    /// disk model as one coalesced sequential transfer.  A rollover seals a
-    /// group of one; [`flush`](Self::flush) seals every retired stream at once.
+    /// commit.  A rollover seals a group of one; [`flush`](Self::flush) seals
+    /// every retired stream at once.
     ///
     /// Write-ahead: the group must be durable before any seal takes effect in
     /// memory.  A crash mid-group installs nothing — the journaled prefix is
@@ -471,13 +454,6 @@ impl ContainerStore {
                 });
             }
             journal.append_batch(&records)?;
-        }
-        if let Some(disk) = self.disk() {
-            let total: u64 = containers
-                .iter()
-                .map(|c| (c.data_size() + c.meta().serialized_size()) as u64)
-                .sum();
-            disk.record_sequential_transfer(total);
         }
         // Persistent backends materialize each sealed container as an object,
         // after the journal records (write-ahead) and before the seal becomes
@@ -504,8 +480,8 @@ impl ContainerStore {
     }
 
     /// Seals every open container (end of a backup session) as one coalesced
-    /// group write — one journal group commit, one sequential disk transfer —
-    /// instead of a per-container trickle.
+    /// group write — one journal group commit — instead of a per-container
+    /// trickle.
     ///
     /// # Errors
     ///
@@ -544,8 +520,8 @@ impl ContainerStore {
 
     /// Reads a sealed container's metadata section (fingerprint list).
     ///
-    /// Charged to the disk model as a sequential read of the metadata section; this
-    /// is the "prefetch" operation behind the chunk fingerprint cache.
+    /// Counted in [`ContainerStoreStats::metadata_reads`]; this is the "prefetch"
+    /// operation behind the chunk fingerprint cache.
     ///
     /// # Errors
     ///
@@ -570,14 +546,6 @@ impl ContainerStore {
                     .ok_or(StorageError::ContainerNotFound(*container))?
             }
         };
-        if let Some(disk) = self.disk() {
-            // A metadata prefetch is a seek into the container object followed
-            // by a short stream of the metadata section: charge the seek via
-            // the random-read model instead of pretending the whole operation
-            // was one sequential transfer.
-            disk.record_random_read();
-            disk.record_sequential_transfer(meta.serialized_size() as u64);
-        }
         Ok(meta)
     }
 
@@ -644,9 +612,6 @@ impl ContainerStore {
             container: *container,
             fingerprint: fp.to_string(),
         })?;
-        if let Some(disk) = self.disk() {
-            disk.record_sequential_transfer(data.len() as u64);
-        }
         Ok(data)
     }
 
@@ -660,9 +625,7 @@ impl ContainerStore {
     /// [`read_at`](StorageBackend::read_at) per coalesced run — or, when a
     /// [read cache](Self::with_read_cache_bytes) is attached and the section
     /// fits its budget, one whole-section read that also fills the cache, with
-    /// repeat visits served from RAM.  Disk-model charging is identical to the
-    /// serial path (one sequential transfer per chunk), so simulated figures do
-    /// not shift because reads were batched.
+    /// repeat visits served from RAM.
     ///
     /// The caller resolves fingerprints to record extents first (via the chunk
     /// index); each [`ChunkFetch`]'s `out` length is the record length.
@@ -745,13 +708,6 @@ impl ContainerStore {
                         })?;
                     f.out.copy_from_slice(data);
                 }
-            }
-        }
-        if let Some(disk) = self.disk() {
-            // Chunk-for-chunk the same charge as the serial read path: the
-            // simulated figures must not shift because reads were batched.
-            for f in fetches.iter() {
-                disk.record_sequential_transfer(f.out.len() as u64);
             }
         }
         Ok(stats)
@@ -867,17 +823,9 @@ impl ContainerStore {
 
     /// Clones a sealed container out of the store for migration to another node.
     ///
-    /// Charged to the disk model as a sequential read of the container's data and
-    /// metadata sections (the rebalancer streaming it off this node's disk).  The
-    /// container stays in the store until [`remove_sealed`](Self::remove_sealed).
+    /// The container stays in the store until [`remove_sealed`](Self::remove_sealed).
     pub fn export_sealed(&self, container: &ContainerId) -> Option<Container> {
-        let cloned = self.sealed.read().get(container).cloned()?;
-        if let Some(disk) = self.disk() {
-            disk.record_sequential_transfer(
-                (cloned.data_size() + cloned.meta().serialized_size()) as u64,
-            );
-        }
-        Some(cloned)
+        self.sealed.read().get(container).cloned()
     }
 
     /// Adopts a container migrated from another node, re-identifying it in this
@@ -892,9 +840,7 @@ impl ContainerStore {
     /// the container; they are journaled with it so the adoption is one atomic
     /// durable event.
     ///
-    /// Returns the container's (possibly pre-existing) local identifier.  First
-    /// adoptions are charged to the disk model as a sequential write, exactly like
-    /// sealing a locally filled container.
+    /// Returns the container's (possibly pre-existing) local identifier.
     ///
     /// # Errors
     ///
@@ -933,11 +879,6 @@ impl ContainerStore {
                 },
             ])?;
         }
-        if let Some(disk) = self.disk() {
-            disk.record_sequential_transfer(
-                (container.data_size() + container.meta().serialized_size()) as u64,
-            );
-        }
         if self.backend.persistent() {
             self.backend
                 .write_object(StorageObject::Container(new_id), &container.encode_blob())?;
@@ -955,8 +896,7 @@ impl ContainerStore {
     /// Installs a container during journal replay, preserving its identifier.
     ///
     /// Unlike [`adopt_sealed`](Self::adopt_sealed) this writes nothing back to the
-    /// journal (the record being replayed *is* the durable copy) and charges no
-    /// disk I/O (the replay itself is charged as one sequential journal read).
+    /// journal (the record being replayed *is* the durable copy).
     /// Returns `false` when `origin` was already adopted — the guard that keeps a
     /// duplicated migration record from double-installing a container.
     pub fn install_recovered(
@@ -1194,15 +1134,6 @@ impl ContainerStore {
                 rfps: rfps.to_vec(),
             })?;
         }
-        if let Some(disk) = self.disk() {
-            // Read the victim off disk, write the replacement back.
-            disk.record_sequential_transfer(
-                (old.data_size() + old.meta().serialized_size()) as u64,
-            );
-            disk.record_sequential_transfer(
-                (replacement.data_size() + replacement.meta().serialized_size()) as u64,
-            );
-        }
         if self.backend.persistent() {
             // Replacement object lands before the victim object goes; the
             // GcCompact journal record is the atomic authority over the swap.
@@ -1367,7 +1298,7 @@ impl ContainerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskParams;
+    use crate::backend::CountingBackend;
     use sigma_hashkit::{Digest, Sha1};
 
     fn payload(i: u64, len: usize) -> (Fingerprint, Vec<u8>) {
@@ -1459,20 +1390,6 @@ mod tests {
             store.read_chunk(&loc.container, &other_fp),
             Err(StorageError::ChunkNotInContainer { .. })
         ));
-    }
-
-    #[test]
-    fn disk_accounting_records_sequential_io() {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let store = ContainerStore::new(200).with_disk(disk.clone());
-        for i in 0..4u64 {
-            let (fp, data) = payload(i, 100);
-            store.store_chunk(0, fp, &data).unwrap();
-        }
-        store.flush().unwrap();
-        let d = disk.stats();
-        assert!(d.sequential_ops >= 2, "sealed containers must be written");
-        assert!(d.sequential_bytes >= 400);
     }
 
     #[test]
@@ -1690,20 +1607,20 @@ mod tests {
 
     #[test]
     fn flush_coalesces_seals_into_one_group_write() {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let journal = Arc::new(crate::Journal::with_disk(disk.clone()));
+        let backend = Arc::new(CountingBackend::default());
+        let journal = Arc::new(crate::Journal::with_backend(backend.clone()).unwrap());
         let store = ContainerStore::new(4096)
-            .with_disk(disk.clone())
+            .with_backend(backend.clone())
             .with_journal(journal.clone());
         for stream in 0..6u64 {
             let (fp, data) = payload(stream, 100);
             store.store_chunk(stream, fp, &data).unwrap();
         }
-        let ops_before = disk.stats().sequential_ops;
+        let (appends_before, fsyncs_before) = backend.counts();
         store.flush().unwrap();
-        // Six open containers seal as ONE coalesced container write plus ONE
-        // journal group commit — not twelve appends and six transfers.
-        assert_eq!(disk.stats().sequential_ops, ops_before + 2);
+        // Six open containers seal as ONE journal group commit — not twelve
+        // appends and twelve fsyncs.
+        assert_eq!(backend.counts(), (appends_before + 1, fsyncs_before + 1));
         assert_eq!(store.stats().sealed_containers, 6);
         // Every seal and finalize still reached the journal individually.
         let (records, _) = crate::Journal::replay(&journal.bytes());

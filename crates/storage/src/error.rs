@@ -29,9 +29,6 @@ pub enum StorageError {
     /// append did not become durable and the node must be considered dead until
     /// it is recovered from the journal.
     Crashed,
-    /// Disk parameters were rejected at validation time (the message names the
-    /// offending field and value).
-    InvalidDiskParams(String),
     /// A storage backend operation failed (the message carries the operation,
     /// the object and the underlying OS error).  Only the file backend produces
     /// these at runtime; the volatile backends are infallible.
@@ -64,9 +61,6 @@ impl std::fmt::Display for StorageError {
             StorageError::ContainerSealed(id) => write!(f, "container {} is sealed", id),
             StorageError::Crashed => {
                 write!(f, "node crashed: journal append did not become durable")
-            }
-            StorageError::InvalidDiskParams(msg) => {
-                write!(f, "invalid disk parameters: {}", msg)
             }
             StorageError::Io(msg) => write!(f, "storage backend i/o error: {}", msg),
         }

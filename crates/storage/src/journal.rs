@@ -39,8 +39,8 @@
 //! adopt-then-tombstone boundary inside a rebalance step.
 
 use crate::{
-    ChunkLocation, ChunkRecord, Container, ContainerId, ContainerMeta, DiskModel, MemoryBackend,
-    SimDiskBackend, StorageBackend, StorageError, StorageObject,
+    ChunkLocation, ChunkRecord, Container, ContainerId, ContainerMeta, MemoryBackend,
+    StorageBackend, StorageError, StorageObject,
 };
 use parking_lot::Mutex;
 use sigma_hashkit::{fnv1a_64, Fingerprint};
@@ -227,9 +227,6 @@ struct JournalState {
 
 /// An append-only, checksummed write-ahead journal — one per durable node.
 ///
-/// Appends are charged to the attached [`DiskModel`] as sequential writes (a WAL
-/// is the sequential-I/O structure par excellence), replay as one sequential read.
-///
 /// # Example
 ///
 /// ```
@@ -249,10 +246,6 @@ pub struct Journal {
     /// acknowledgement point go through it; on volatile backends the fsync is a
     /// no-op and on the file backend it is a real `fsync(2)`.
     backend: Arc<dyn StorageBackend>,
-    /// Rebindable: recovery builds a fresh node (and fresh [`DiskModel`]) and
-    /// re-targets the surviving journal at it via [`attach_disk`](Journal::attach_disk),
-    /// so post-recovery appends keep being charged to the node that owns them.
-    disk: parking_lot::RwLock<Option<Arc<DiskModel>>>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -275,29 +268,16 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates an empty journal on a volatile in-memory backend, without disk
-    /// accounting.
+    /// Creates an empty journal on a volatile in-memory backend.
     pub fn new() -> Self {
         Journal {
             state: Mutex::new(JournalState::default()),
             backend: Arc::new(MemoryBackend::new()),
-            disk: parking_lot::RwLock::new(None),
-        }
-    }
-
-    /// Creates an empty journal on a simulated-disk backend whose appends and
-    /// replays are charged to `disk`.
-    pub fn with_disk(disk: Arc<DiskModel>) -> Self {
-        Journal {
-            state: Mutex::new(JournalState::default()),
-            backend: Arc::new(SimDiskBackend::new(disk.clone())),
-            disk: parking_lot::RwLock::new(Some(disk)),
         }
     }
 
     /// Creates a *fresh* journal on `backend`, truncating any journal object a
-    /// previous process left there.  Disk accounting follows the backend's own
-    /// [`DiskModel`](StorageBackend::disk), if it has one.
+    /// previous process left there.
     ///
     /// Use [`open`](Self::open) instead to adopt an existing journal object —
     /// this constructor is for brand-new nodes.
@@ -308,11 +288,9 @@ impl Journal {
     /// journal object.
     pub fn with_backend(backend: Arc<dyn StorageBackend>) -> Result<Self, StorageError> {
         backend.write_object(StorageObject::Journal, &[])?;
-        let disk = backend.disk();
         Ok(Journal {
             state: Mutex::new(JournalState::default()),
             backend,
-            disk: parking_lot::RwLock::new(disk),
         })
     }
 
@@ -328,7 +306,6 @@ impl Journal {
     pub fn open(backend: Arc<dyn StorageBackend>) -> Result<Self, StorageError> {
         let bytes = backend.read_all(StorageObject::Journal)?;
         let boundaries = scan_frames(&bytes);
-        let disk = backend.disk();
         Ok(Journal {
             state: Mutex::new(JournalState {
                 len: bytes.len(),
@@ -338,7 +315,6 @@ impl Journal {
                 armed: None,
             }),
             backend,
-            disk: parking_lot::RwLock::new(disk),
         })
     }
 
@@ -346,17 +322,6 @@ impl Journal {
     /// store when the node persists, so both planes survive (or vanish) together.
     pub fn backend(&self) -> Arc<dyn StorageBackend> {
         self.backend.clone()
-    }
-
-    /// Re-targets disk accounting at `disk`.
-    ///
-    /// A recovered node owns a fresh [`DiskModel`]; the journal survives the
-    /// crash, so its charges must follow the new owner — otherwise every
-    /// post-recovery append would be billed to the discarded node's model and
-    /// vanish from the recovered node's statistics.
-    pub fn attach_disk(&self, disk: Arc<DiskModel>) {
-        self.backend.attach_disk(disk.clone());
-        *self.disk.write() = Some(disk);
     }
 
     /// Reconstructs a journal from previously captured [`bytes`](Self::bytes) —
@@ -373,7 +338,6 @@ impl Journal {
                 armed: None,
             }),
             backend: Arc::new(MemoryBackend::with_journal_bytes(bytes)),
-            disk: parking_lot::RwLock::new(None),
         }
     }
 
@@ -415,9 +379,6 @@ impl Journal {
             }
         }
         let frame = encode_frame(seq, record);
-        if let Some(disk) = self.disk.read().as_ref() {
-            disk.record_sequential_transfer(frame.len() as u64);
-        }
         // Append + fsync is the acknowledgement point: a real I/O failure here
         // means durability is gone, so the journal declares itself crashed just
         // as it does for an injected fault.
@@ -436,8 +397,8 @@ impl Journal {
         Ok(seq)
     }
 
-    /// Appends a batch of records under one lock acquisition and one coalesced
-    /// disk transfer, returning the first record's sequence number.
+    /// Appends a batch of records under one lock acquisition and one backend
+    /// append-plus-fsync, returning the first record's sequence number.
     ///
     /// Durability-equivalent to calling [`append`](Self::append) once per record
     /// — in particular, armed crash points keep firing at the exact per-record
@@ -445,8 +406,8 @@ impl Journal {
     /// durable (they are flushed as the prefix of the group write), the armed
     /// record crashes clean or torn according to its [`CrashMode`], and the rest
     /// of the batch is dropped.  What changes is only the cost: one journal-lock
-    /// round and one sequential disk transfer for the whole group instead of one
-    /// per record — the group-commit optimisation every production WAL performs.
+    /// round and one append and fsync for the whole group instead of one per
+    /// record — the group-commit optimisation every production WAL performs.
     ///
     /// # Errors
     ///
@@ -460,8 +421,7 @@ impl Journal {
         let first_seq = state.next_seq;
         let base = state.len;
         // Frames accumulate in a scratch buffer so the durable medium receives
-        // the whole group in a single extend, mirroring the single transfer
-        // charged to the disk model.
+        // the whole group in a single append.
         let mut buf: Vec<u8> = Vec::new();
         let mut frames: Vec<(u64, usize)> = Vec::with_capacity(records.len());
         for (i, record) in records.iter().enumerate() {
@@ -478,16 +438,11 @@ impl Journal {
                 // The complete frames ahead of the crash (plus any torn prefix)
                 // still reach the medium: the power cut interrupted the group
                 // write partway through, it did not unwrite the prefix.
-                if !buf.is_empty() {
-                    if let Some(disk) = self.disk.read().as_ref() {
-                        disk.record_sequential_transfer(buf.len() as u64);
-                    }
-                    if self.backend.append(StorageObject::Journal, &buf).is_ok() {
-                        let _ = self.backend.fsync(StorageObject::Journal);
-                        state.len += buf.len();
-                        for (s, end) in frames {
-                            state.boundaries.push((s, base + end));
-                        }
+                if !buf.is_empty() && self.backend.append(StorageObject::Journal, &buf).is_ok() {
+                    let _ = self.backend.fsync(StorageObject::Journal);
+                    state.len += buf.len();
+                    for (s, end) in frames {
+                        state.boundaries.push((s, base + end));
                     }
                 }
                 state.next_seq = seq;
@@ -498,9 +453,6 @@ impl Journal {
             frames.push((seq, buf.len()));
         }
         if !buf.is_empty() {
-            if let Some(disk) = self.disk.read().as_ref() {
-                disk.record_sequential_transfer(buf.len() as u64);
-            }
             if let Err(e) = self
                 .backend
                 .append(StorageObject::Journal, &buf)
@@ -563,9 +515,6 @@ impl Journal {
 
     /// A copy of the raw journal bytes (the durable medium's current contents).
     ///
-    /// Uncharged: the fault harness uses this to capture crash images without
-    /// perturbing the disk statistics.
-    ///
     /// # Panics
     ///
     /// Panics if the backend cannot read the journal object (file backend only,
@@ -604,7 +553,6 @@ impl Journal {
     /// the crashed flag — what recovery does before the journal is reused as the
     /// recovered node's write-ahead log.
     ///
-    /// Charged to the disk model as one sequential read of the replayed bytes.
     /// # Panics
     ///
     /// Panics if the backend cannot read or truncate the journal object: a
@@ -629,9 +577,6 @@ impl Journal {
             .unwrap_or(0);
         state.crashed = false;
         state.armed = None;
-        if let Some(disk) = self.disk.read().as_ref() {
-            disk.record_sequential_transfer(summary.bytes_replayed);
-        }
         (records, summary)
     }
 
@@ -668,9 +613,6 @@ impl Journal {
             }
         }
         let frame = encode_frame(seq, &JournalRecord::Snapshot(snapshot));
-        if let Some(disk) = self.disk.read().as_ref() {
-            disk.record_sequential_transfer(frame.len() as u64);
-        }
         // Ack ordering: the snapshot must be durably in place *before* the old
         // log is considered replaced.  `replace_atomic` writes the new log to
         // the side, fsyncs it, renames it over the old one and fsyncs the
@@ -749,9 +691,7 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Option<(JournalRecord, usize)> {
 
 // ---- record payload encoding ----
 //
-// A tiny hand-rolled little-endian format: the vendored serde shim is
-// derive-only, so the journal defines its own wire layout (tag byte + fields).
-// Stability matters only within one repository version — the journal is a
+// A tiny hand-rolled little-endian format: tag byte + fields.  Stability matters only within one repository version — the journal is a
 // simulation artifact, not an interchange format.
 
 const TAG_CONTAINER_SEAL: u8 = 1;
@@ -1085,6 +1025,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CountingBackend;
     use crate::ContainerBuilder;
     use sigma_hashkit::{Digest, Sha1};
 
@@ -1332,13 +1273,21 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_charges_one_disk_transfer() {
-        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal = Journal::with_disk(disk.clone());
+    fn append_batch_issues_one_append_and_one_fsync() {
+        let backend = Arc::new(CountingBackend::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
         journal.append_batch(&sample_records()).unwrap();
-        let stats = disk.stats();
-        assert_eq!(stats.sequential_ops, 1, "a group commit is one transfer");
-        assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());
+        assert_eq!(
+            backend.counts(),
+            (1, 1),
+            "a group commit is one append and one fsync"
+        );
+        journal.append(&sample_records()[5]).unwrap();
+        assert_eq!(backend.counts(), (2, 2), "so is a single record");
+        assert_eq!(
+            backend.object_len(StorageObject::Journal).unwrap(),
+            Some(journal.len_bytes() as u64)
+        );
     }
 
     #[test]
@@ -1368,16 +1317,5 @@ mod tests {
         journal.append_batch(&records).unwrap();
         assert!(!journal.crashed());
         assert_eq!(journal.frame_count(), records.len() as u64);
-    }
-
-    #[test]
-    fn appends_charge_the_disk_model_sequentially() {
-        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal = Journal::with_disk(disk.clone());
-        journal.append(&sample_records()[5]).unwrap();
-        let stats = disk.stats();
-        assert_eq!(stats.sequential_ops, 1);
-        assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());
-        assert_eq!(stats.random_reads, 0, "a WAL never seeks");
     }
 }

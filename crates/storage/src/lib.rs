@@ -14,9 +14,11 @@
 //! * a traditional hash-table based **on-disk chunk index** kept only as a fallback
 //!   for fingerprints that miss in the cache.
 //!
-//! This crate implements all four structures plus a [`DiskModel`] that accounts for
-//! the simulated disk I/O they would generate, so the higher layers can report the
+//! This crate implements all four structures.  Each counts its own index lookups,
+//! container reads and journal bytes, so the higher layers can report the
 //! index-lookup message and I/O counts that the paper uses as overhead metrics.
+//! The structures sit on a [`StorageBackend`]: [`MemoryBackend`] keeps objects in
+//! RAM, [`FileBackend`] keeps them in one directory of real files per node.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,16 +27,13 @@ mod backend;
 mod chunk_index;
 mod container;
 mod container_store;
-mod disk;
 mod error;
 mod fingerprint_cache;
 mod journal;
 mod read_cache;
 mod similarity_index;
 
-pub use backend::{
-    BackendKind, FileBackend, MemoryBackend, SimDiskBackend, StorageBackend, StorageObject,
-};
+pub use backend::{BackendKind, FileBackend, MemoryBackend, StorageBackend, StorageObject};
 pub use chunk_index::{ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome};
 pub use container::{
     ChunkRecord, Container, ContainerBuilder, ContainerId, ContainerMeta,
@@ -44,7 +43,6 @@ pub use container_store::{
     BatchedReadStats, ChunkFetch, CompactionOutcome, ContainerLiveness, ContainerStore,
     ContainerStoreStats, StoredChunk, StreamId, DEFAULT_CONTAINER_CAPACITY,
 };
-pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use error::StorageError;
 pub use fingerprint_cache::{CacheStats, FingerprintCache};
 pub use journal::{CrashMode, Journal, JournalRecord, NodeSnapshot, ReplaySummary};
