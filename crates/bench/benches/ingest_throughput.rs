@@ -13,7 +13,7 @@
 //!   threaded `SimulationRunner`, exercising the sharded node indexes and the
 //!   per-container store locks without client-side hashing cost.
 //!
-//! A third group, `chunker_build/{fixed,cdc,gear,tttd}`, times building each
+//! A third group, `chunker_build/{fixed,cdc,tttd}`, times building each
 //! chunker from its parameters — the fixed cost every client backup pays
 //! before its first byte is scanned.
 //!
@@ -131,7 +131,6 @@ fn bench_chunker_build(c: &mut Criterion) {
     for (name, params) in [
         ("fixed", ChunkerParams::fixed(4096)),
         ("cdc", ChunkerParams::cdc(1024, 4096, 16384)),
-        ("gear", ChunkerParams::gear_cdc(1024, 4096, 16384)),
         ("tttd", ChunkerParams::tttd_default()),
     ] {
         group.bench_function(name, |b| b.iter(|| std::hint::black_box(params.build())));

@@ -10,46 +10,16 @@
 //!
 //! The banner prints a one-shot table comparing a raw (append-by-append) journal
 //! against its compacted (single-snapshot) form at a reporting scale; criterion
-//! then measures both replay paths on a mid-size journal.  Compaction replay
-//! should win: one frame instead of thousands, no superseded records.
+//! then measures both replay paths on a mid-size journal.  The journal images
+//! are the `sigma-bench` runner's: before compacting, every other sealed
+//! container is swept as dead, so compaction has superseded records to fold
+//! away.  Compaction replay should win: one frame instead of thousands.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sigma_bench::runner::{journal_image, replay_config};
 use sigma_core::{DedupNode, SigmaConfig};
 use sigma_storage::Journal;
 use std::sync::Arc;
-
-fn bench_config() -> SigmaConfig {
-    SigmaConfig::builder()
-        .super_chunk_size(64 * 1024)
-        .container_capacity(256 * 1024)
-        .durability(true)
-        .build()
-        .expect("valid bench config")
-}
-
-/// Ingests `bytes` of deterministic payload into a durable node and returns the
-/// journal image a crash would leave behind, optionally compacted first.
-fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8> {
-    let node = DedupNode::new(0, config);
-    let client_chunks: Vec<Vec<u8>> = sigma_workloads::payload::random_bytes(bytes, 0x4EC0)
-        .chunks(4096)
-        .map(<[u8]>::to_vec)
-        .collect();
-    for (i, window) in client_chunks.chunks(16).enumerate() {
-        let sc = sigma_core::SuperChunk::from_payloads(
-            sigma_hashkit::FingerprintAlgorithm::Sha1,
-            i as u64,
-            window.to_vec(),
-        );
-        node.process_super_chunk(0, &sc, &sc.handprint(8))
-            .expect("payload ingest cannot fail");
-    }
-    node.try_flush().expect("no faults in bench");
-    if compacted {
-        node.compact_journal().expect("no faults in bench");
-    }
-    node.journal().expect("durable node has a journal").bytes()
-}
 
 fn recover(config: &SigmaConfig, image: &[u8]) -> u64 {
     let journal = Arc::new(Journal::from_bytes(image.to_vec()));
@@ -63,7 +33,7 @@ fn report() {
         "recovery replay",
         "journal-replay throughput of DedupNode::recover, raw vs compacted log",
     );
-    let config = bench_config();
+    let config = replay_config();
     let mut table = sigma_metrics::report::TextTable::new(vec![
         "journal",
         "payload MiB",
@@ -93,7 +63,7 @@ fn report() {
 fn bench(c: &mut Criterion) {
     report();
 
-    let config = bench_config();
+    let config = replay_config();
     let raw = journal_image(&config, 8 << 20, false);
     let compacted = journal_image(&config, 8 << 20, true);
 

@@ -389,10 +389,11 @@ fn timed_restore(cluster: &DedupCluster, files: &[(u64, Vec<u8>)], pipelined: bo
 /// Cold-cache restore throughput: the planned pipeline (batched container
 /// reads, read cache, single-copy assembly) against the preserved serial
 /// per-chunk reference, in the same process on identical data — the restore
-/// analogue of the ingest reference comparison.  Every rep rebuilds the
-/// cluster so the pipeline's container read cache starts cold; the reference
-/// path never touches that cache, so measuring it first steals nothing from
-/// the pipelined pass.  Single worker (`_t1`) for the same reason the ingest
+/// analogue of the ingest reference comparison.  Every file-backend pass
+/// runs on a fresh cluster so the container read cache starts cold for both
+/// paths: the reference's per-chunk reads go through that cache too.  The
+/// memory backend has no read cache, so one cluster serves both of its
+/// passes.  Single worker (`_t1`) for the same reason the ingest
 /// headline is single-threaded: fan-out scaling depends on host core count
 /// and lives in the `restore_throughput` criterion target instead.
 fn restore_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
@@ -416,24 +417,21 @@ fn restore_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
             mem_pipelined = (mbps, total);
         }
 
-        // Real-file backend: a fresh directory per rep, so the serial
-        // reference issues one backend read per chunk off actual container
-        // files and the pipeline's coalesced runs replace those seeks.
-        let root = file_scratch();
-        let cluster = Arc::new(DedupCluster::with_similarity_router(
-            2,
-            restore_config(Some(&root)),
-        ));
-        let files = restore_dataset(&cluster, sizes);
-        let mbps = timed_restore(&cluster, &files, false);
-        if mbps > file_reference.0 {
-            file_reference = (mbps, total);
+        // Real-file backend: a fresh directory and cluster per pass, so each
+        // path reads actual container files from a cold cache.
+        for (pipelined, best) in [(false, &mut file_reference), (true, &mut file_pipelined)] {
+            let root = file_scratch();
+            let cluster = Arc::new(DedupCluster::with_similarity_router(
+                2,
+                restore_config(Some(&root)),
+            ));
+            let files = restore_dataset(&cluster, sizes);
+            let mbps = timed_restore(&cluster, &files, pipelined);
+            if mbps > best.0 {
+                *best = (mbps, total);
+            }
+            std::fs::remove_dir_all(&root).expect("scratch dir is removable");
         }
-        let mbps = timed_restore(&cluster, &files, true);
-        if mbps > file_pipelined.0 {
-            file_pipelined = (mbps, total);
-        }
-        std::fs::remove_dir_all(&root).expect("scratch dir is removable");
     }
     for (name, (mbps, bytes), headline) in [
         ("restore_mem_reference_t1", mem_reference, false),
@@ -511,7 +509,8 @@ fn rebalance_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
     }
 }
 
-fn replay_config() -> SigmaConfig {
+/// The durable node configuration the journal-replay measurements use.
+pub fn replay_config() -> SigmaConfig {
     SigmaConfig::builder()
         .super_chunk_size(64 * 1024)
         .container_capacity(256 * 1024)
@@ -524,7 +523,7 @@ fn replay_config() -> SigmaConfig {
 /// crash would leave behind, optionally compacted first.  Before compacting,
 /// every other sealed container is swept as dead, as after a deletion and GC,
 /// so the compaction has superseded records to fold away.
-fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8> {
+pub fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8> {
     let node = DedupNode::new(0, config);
     let client_chunks: Vec<Vec<u8>> = random_bytes(bytes, 0x4EC0)
         .chunks(4096)

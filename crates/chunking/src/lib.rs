@@ -34,7 +34,6 @@
 mod cdc;
 mod chunk;
 mod fixed;
-mod gear_cdc;
 mod params;
 pub mod reference;
 pub mod stream;
@@ -43,7 +42,6 @@ mod tttd;
 pub use cdc::CdcChunker;
 pub use chunk::{Chunk, ChunkSpan};
 pub use fixed::StaticChunker;
-pub use gear_cdc::GearCdcChunker;
 pub use params::{ChunkerParams, ChunkingMethod};
 pub use tttd::{TttdChunker, TttdParams};
 

@@ -186,7 +186,6 @@ mod tests {
         let data = random_data(400_000, 9);
         for params in [
             ChunkerParams::cdc(1024, 4096, 16 * 1024),
-            ChunkerParams::gear_cdc(1024, 4096, 16 * 1024),
             ChunkerParams::tttd_default(),
         ] {
             let chunker = params.build();

@@ -23,9 +23,6 @@ fn all_presets() -> Vec<ChunkerParams> {
         ChunkerParams::cdc(256, 1024, 4096),
         ChunkerParams::cdc(5, 10, 20),
         ChunkerParams::cdc_with_average(8192),
-        ChunkerParams::gear_cdc(1024, 4096, 16 * 1024),
-        ChunkerParams::gear_cdc(16, 64, 256),
-        ChunkerParams::gear_with_average(2048),
         ChunkerParams::tttd_default(),
         ChunkerParams::Tttd(TttdParams {
             min_size: 256,

@@ -258,8 +258,8 @@ impl DedupCluster {
     }
 
     /// Number of addressable nodes, active *and* retired — the tombstone-chain
-    /// hop cap shared by [`read_chunk`](Self::read_chunk) and the restore
-    /// planner (a chain can visit each addressable node at most once).
+    /// hop cap and the re-plan round bound of the restore pipeline (a chain
+    /// can visit each addressable node at most once).
     pub(crate) fn directory_len(&self) -> usize {
         self.membership.read().directory.len()
     }
@@ -423,62 +423,20 @@ impl DedupCluster {
         .collect()
     }
 
-    /// Reads one chunk back from the node a recipe recorded for it, transparently
-    /// following forwarding tombstones if the rebalancer has since migrated the
-    /// chunk's container to another node (possibly through several hops).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SigmaError::ChunkMissing`] / [`SigmaError::PayloadUnavailable`]
-    /// from the node.
-    pub fn read_chunk(
-        &self,
-        node: usize,
-        fingerprint: &sigma_hashkit::Fingerprint,
-    ) -> Result<Vec<u8>> {
-        // The hop cap guards against a (theoretical) tombstone cycle: a chain
-        // can visit each node at most once.  It is computed lazily so the
-        // common chunk-never-migrated path costs a single directory lookup.
-        let mut node_id = node;
-        let mut hops = 0usize;
-        loop {
-            let current = self
-                .node_by_id(node_id)
-                .ok_or_else(|| SigmaError::ChunkMissing {
-                    node: node_id,
-                    fingerprint: fingerprint.to_string(),
-                })?;
-            match current.read_chunk(fingerprint) {
-                Err(SigmaError::ChunkMigrated { node: next, .. }) => {
-                    hops += 1;
-                    if hops > self.membership.read().directory.len() {
-                        return Err(SigmaError::ChunkMissing {
-                            node: next,
-                            fingerprint: fingerprint.to_string(),
-                        });
-                    }
-                    node_id = next;
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// Reconstructs a previously backed-up file from its recipe.
     ///
     /// Runs the container-aware restore pipeline (see [`crate::RestoreReport`]):
     /// entries are grouped per `(node, container)`, extents coalesce into
     /// batched backend reads served through the container read cache, and
     /// groups fan out [`SigmaConfig::restore_parallelism`] wide, each decoding
-    /// straight into the preallocated output.  The output is byte-identical to
-    /// [`restore_file_reference`](Self::restore_file_reference), which remains
-    /// the behavioural arbiter (and the fallback whenever a plan cannot
-    /// represent the recipe).
+    /// straight into the preallocated output.  A group whose container moved
+    /// after the plan (a migration or GC) is located again and re-read.
     ///
     /// # Errors
     ///
-    /// Returns [`SigmaError::FileNotFound`] for unknown file IDs and propagates chunk
-    /// read errors.  Returns [`SigmaError::RestoreTruncated`] when the rebuilt
+    /// Returns [`SigmaError::FileNotFound`] for unknown file IDs and otherwise
+    /// the error of the earliest failing recipe entry.  Returns
+    /// [`SigmaError::RestoreTruncated`] when every read succeeds but the rebuilt
     /// byte count disagrees with the logical size the recipe records — the
     /// end-to-end guard that a stored chunk payload shrinking or growing out
     /// from under its recipe can never surface as a silently corrupt restore.
@@ -491,9 +449,9 @@ impl DedupCluster {
     /// [`read_chunk`](Self::read_chunk) per recipe entry, in recipe order,
     /// copying each payload twice (into its own `Vec`, then into the output).
     ///
-    /// Kept as the reference implementation — like `sigma_chunking::reference`
-    /// — both for the equivalence proptests and as the fallback arbiter when
-    /// the planned pipeline meets a recipe it cannot represent.
+    /// Kept as the test oracle — like `sigma_chunking::reference` — for the
+    /// equivalence proptests and the restore benches; no restore path calls
+    /// it.
     ///
     /// # Errors
     ///

@@ -786,7 +786,8 @@ impl DedupNode {
         Ok(ChunkResolution::Stored(stored.container))
     }
 
-    /// Reads a chunk's payload back (restore path).
+    /// Reads a chunk's payload back: [`plan_chunk_read`](Self::plan_chunk_read)
+    /// plus a one-fetch [`read_chunks_batched`](Self::read_chunks_batched).
     ///
     /// # Errors
     ///
@@ -797,41 +798,21 @@ impl DedupNode {
     /// node now holding it, and [`DedupCluster`](crate::DedupCluster) restores
     /// follow that forwarding chain transparently.
     pub fn read_chunk(&self, fingerprint: &Fingerprint) -> Result<Vec<u8>> {
-        let location =
-            self.chunk_index
-                .lookup(fingerprint)
-                .ok_or_else(|| SigmaError::ChunkMissing {
-                    node: self.id,
-                    fingerprint: fingerprint.to_string(),
-                })?;
-        match self.store.read_chunk(&location.container, fingerprint) {
-            Ok(data) => Ok(data),
-            Err(sigma_storage::StorageError::ChunkNotInContainer { .. }) => {
-                Err(SigmaError::PayloadUnavailable {
-                    fingerprint: fingerprint.to_string(),
-                })
-            }
-            Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
-                match self.forwarded_to(&cid) {
-                    Some(node) => Err(SigmaError::ChunkMigrated {
-                        fingerprint: fingerprint.to_string(),
-                        node,
-                    }),
-                    None => Err(SigmaError::ChunkMissing {
-                        node: self.id,
-                        fingerprint: fingerprint.to_string(),
-                    }),
-                }
-            }
-            Err(e) => Err(e.into()),
-        }
+        let location = self.plan_chunk_read(fingerprint)?;
+        let mut out = vec![0u8; location.len as usize];
+        let mut fetch = [sigma_storage::ChunkFetch {
+            fingerprint: *fingerprint,
+            offset: location.offset,
+            out: &mut out,
+        }];
+        self.read_chunks_batched(&location.container, &mut fetch)?;
+        Ok(out)
     }
 
-    /// Resolves a fingerprint to its record extent for the planned restore
-    /// pipeline, with exactly [`read_chunk`](Self::read_chunk)'s error mapping
-    /// (including the tombstone hop into [`SigmaError::ChunkMigrated`]) but
-    /// without touching any payload.  The chunk-index lookup is counted
-    /// identically to the serial path's.
+    /// Resolves a fingerprint to its record extent for the restore pipeline,
+    /// with [`read_chunk`](Self::read_chunk)'s error mapping (including the
+    /// tombstone hop into [`SigmaError::ChunkMigrated`]) but without touching
+    /// any payload.  The chunk-index lookup is counted.
     ///
     /// # Errors
     ///
@@ -851,16 +832,7 @@ impl DedupNode {
         {
             return Ok(location);
         }
-        match self.forwarded_to(&location.container) {
-            Some(node) => Err(SigmaError::ChunkMigrated {
-                fingerprint: fingerprint.to_string(),
-                node,
-            }),
-            None => Err(SigmaError::ChunkMissing {
-                node: self.id,
-                fingerprint: fingerprint.to_string(),
-            }),
-        }
+        Err(self.container_gone(&location.container, fingerprint.to_string()))
     }
 
     /// Reads a batch of chunk payloads out of one of this node's containers,
@@ -870,12 +842,11 @@ impl DedupNode {
     ///
     /// # Errors
     ///
-    /// Maps storage errors exactly as [`read_chunk`](Self::read_chunk) does:
-    /// a synthetic chunk surfaces as [`SigmaError::PayloadUnavailable`], a
+    /// A synthetic chunk surfaces as [`SigmaError::PayloadUnavailable`], a
     /// migrated-away container as [`SigmaError::ChunkMigrated`] (or
     /// [`SigmaError::ChunkMissing`] when no tombstone points onward).  On error
-    /// the output slices are partially written; the pipeline falls back to the
-    /// serial path for the whole group.
+    /// the output slices are partially written; the restore pipeline re-plans
+    /// or fails the whole group.
     pub fn read_chunks_batched(
         &self,
         container: &ContainerId,
@@ -887,24 +858,26 @@ impl DedupNode {
                 Err(SigmaError::PayloadUnavailable { fingerprint })
             }
             Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
-                match self.forwarded_to(&cid) {
-                    Some(node) => Err(SigmaError::ChunkMigrated {
-                        fingerprint: fetches
-                            .first()
-                            .map(|f| f.fingerprint.to_string())
-                            .unwrap_or_default(),
-                        node,
-                    }),
-                    None => Err(SigmaError::ChunkMissing {
-                        node: self.id,
-                        fingerprint: fetches
-                            .first()
-                            .map(|f| f.fingerprint.to_string())
-                            .unwrap_or_default(),
-                    }),
-                }
+                let fingerprint = fetches
+                    .first()
+                    .map(|f| f.fingerprint.to_string())
+                    .unwrap_or_default();
+                Err(self.container_gone(&cid, fingerprint))
             }
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The error for a chunk whose container is no longer on this node:
+    /// [`SigmaError::ChunkMigrated`] when a forwarding tombstone points
+    /// onward, else [`SigmaError::ChunkMissing`].
+    fn container_gone(&self, container: &ContainerId, fingerprint: String) -> SigmaError {
+        match self.forwarded_to(container) {
+            Some(node) => SigmaError::ChunkMigrated { fingerprint, node },
+            None => SigmaError::ChunkMissing {
+                node: self.id,
+                fingerprint,
+            },
         }
     }
 

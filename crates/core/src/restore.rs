@@ -1,48 +1,47 @@
 //! The container-aware restore pipeline: plan → coalesce → cache → assemble.
 //!
-//! The serial reference restore ([`DedupCluster::restore_file_reference`])
-//! walks the recipe one chunk at a time: each entry re-resolves the node
-//! directory, pays one container lookup, allocates a fresh `Vec` for the
-//! payload and copies it a second time into the output.  On a persistent
-//! backend that is one seek-shaped syscall per chunk, in recipe order —
-//! random I/O across container files.
-//!
-//! The pipeline here keeps the same observable behaviour while restructuring
-//! the work around *containers*, the unit the storage layer is actually fast
-//! at:
+//! This is the only way chunk bytes leave a container.  A whole-file restore
+//! runs it over the recipe; [`DedupCluster::read_chunk`] runs it over one
+//! entry.  The work is organised around *containers*, the unit the storage
+//! layer is actually fast at:
 //!
 //! 1. **Plan** — walk the recipe once, resolving every entry to its record
-//!    extent with the same counted chunk-index lookup and tombstone
-//!    follow-through as the serial path, and group the entries by
-//!    `(node, container)`.
+//!    extent with a counted chunk-index lookup that follows forwarding
+//!    tombstones, and group the entries by `(node, container)`.  Each entry's
+//!    output window is sized from the extent the index returns, not from the
+//!    recipe's `len`.
 //! 2. **Coalesce** — each group becomes one
 //!    [`read_chunks_batched`](sigma_storage::ContainerStore::read_chunks_batched)
 //!    call: adjacent/nearby extents merge into one backend read per run, and a
 //!    [container read cache](sigma_storage::ContainerReadCache) serves repeat
 //!    visits from RAM.
-//! 3. **Assemble** — every chunk decodes *directly* into its slice of the
-//!    preallocated output buffer (offsets are known from the recipe), so the
-//!    per-chunk double copy of the serial path is gone even at
-//!    `restore_parallelism = 1`.
+//! 3. **Assemble** — every chunk decodes *directly* into its window of the
+//!    preallocated output buffer, so each byte is copied exactly once.
 //! 4. **Fan out** — groups run on the ingest pipeline's worker pool
 //!    ([`run_pool`]), `SigmaConfig::restore_parallelism` wide; output order
-//!    is free because each group writes disjoint slices.
+//!    is free because each group writes disjoint windows.
+//! 5. **Re-plan** — a group whose batched read fails with
+//!    [`SigmaError::ChunkMigrated`] or [`SigmaError::ChunkMissing`] (a
+//!    migration or GC moved its container after the plan located it) locates
+//!    its entries again from their recipe node and reads again, for at most
+//!    as many rounds as the membership directory has nodes.  Any other error
+//!    is final, and so is a re-located extent whose length differs from its
+//!    window.
 //!
-//! Semantics are pinned to the serial path: a group that fails its batched
-//! read (a migration or GC racing the plan, or a synthetic trace-driven chunk)
-//! falls back to per-chunk [`DedupCluster::read_chunk`], which re-follows
-//! tombstone chains and reproduces the serial error; when the plan cannot
-//! even represent the recipe (layout disagreement between recipe and index)
-//! the whole restore re-runs on the reference path, preserving the
-//! [`SigmaError::RestoreTruncated`] end-to-end guard byte for byte.
+//! A failed restore returns the error of the earliest failing recipe entry.
+//! A restore whose reads all succeed passes one end-to-end size check: the
+//! rebuilt byte count must equal the recipe's `size`, or the restore returns
+//! [`SigmaError::RestoreTruncated`].
 
 use crate::cluster::DedupCluster;
 use crate::director::{FileId, FileRecipe};
+use crate::node::DedupNode;
 use crate::pipeline::run_pool;
 use crate::{Result, SigmaError};
 use sigma_hashkit::Fingerprint;
-use sigma_storage::{ChunkFetch, ChunkLocation, ContainerId};
+use sigma_storage::{BatchedReadStats, ChunkFetch, ChunkLocation, ContainerId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What one planned restore did — the pipeline's observability surface,
 /// aggregated into `sigma_metrics::RestoreCounters` by the service layer.
@@ -52,7 +51,7 @@ pub struct RestoreReport {
     pub logical_bytes: u64,
     /// Chunk payloads decoded.
     pub chunks_read: u64,
-    /// Distinct `(node, container)` groups the plan fanned out to.
+    /// Batched `(node, container)` reads that succeeded.
     pub containers_read: u64,
     /// Container-read-cache hits across groups.
     pub cache_hits: u64,
@@ -67,8 +66,9 @@ pub struct RestoreReport {
     /// writes each byte exactly once (`bytes_copied == logical_bytes`); the
     /// reference path's per-chunk `Vec` + `extend_from_slice` costs two.
     pub bytes_copied: u64,
-    /// Chunks served by the per-chunk serial fallback (plan/read races,
-    /// or the whole restore re-run on the reference path).
+    /// Chunks the pipeline re-planned: located again, after a migration or
+    /// GC moved their container between the plan and the read.  A chunk
+    /// re-planned in several rounds counts once per round.
     pub serial_fallback_chunks: u64,
     /// Worker threads the group fan-out ran on.
     pub parallelism: usize,
@@ -85,8 +85,26 @@ impl RestoreReport {
         }
     }
 
-    fn absorb_group(&mut self, g: &GroupStats) {
-        self.chunks_read += g.chunks;
+    /// Counts one successful batched read that copied `copied` payload bytes.
+    fn absorb_read(&mut self, s: &BatchedReadStats, copied: u64) {
+        self.chunks_read += s.chunks;
+        self.containers_read += 1;
+        self.cache_hits += s.cache_hits;
+        self.cache_misses += s.cache_misses;
+        self.coalesced_runs += s.coalesced_runs;
+        self.bytes_copied += copied;
+        // Served from RAM: count the logical bytes so read amplification
+        // stays 1.0 on volatile backends — but a cache hit genuinely skipped
+        // the medium.
+        self.backend_bytes_read += if s.backend_bytes_read == 0 && s.cache_hits == 0 {
+            copied
+        } else {
+            s.backend_bytes_read
+        };
+    }
+
+    fn absorb_group(&mut self, g: &RestoreReport) {
+        self.chunks_read += g.chunks_read;
         self.containers_read += g.containers_read;
         self.cache_hits += g.cache_hits;
         self.cache_misses += g.cache_misses;
@@ -95,66 +113,54 @@ impl RestoreReport {
         self.bytes_copied += g.bytes_copied;
         self.serial_fallback_chunks += g.serial_fallback_chunks;
     }
-
-    /// The report shape of a restore that ran (or re-ran) on the reference
-    /// path: every chunk serial, every byte copied twice.
-    fn reference(bytes: &[u8], chunks: usize) -> RestoreReport {
-        RestoreReport {
-            logical_bytes: bytes.len() as u64,
-            chunks_read: chunks as u64,
-            containers_read: 0,
-            backend_bytes_read: bytes.len() as u64,
-            bytes_copied: 2 * bytes.len() as u64,
-            serial_fallback_chunks: chunks as u64,
-            parallelism: 1,
-            ..RestoreReport::default()
-        }
-    }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupStats {
-    chunks: u64,
-    containers_read: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    backend_bytes_read: u64,
-    coalesced_runs: u64,
-    bytes_copied: u64,
-    serial_fallback_chunks: u64,
-}
-
-/// One planned entry: where the chunk's bytes come from and the output window
-/// they decode into.
-struct PlannedFetch<'a> {
-    /// Position in the recipe — orders failures exactly as the serial path
-    /// would surface them.
-    index: usize,
-    fingerprint: Fingerprint,
-    /// The node the *recipe* recorded; the fallback re-follows tombstones
-    /// from here, not from wherever the plan last saw the chunk.
-    recipe_node: usize,
-    offset: u32,
-    out: &'a mut [u8],
-}
+/// A planned fetch's recipe entry: its index, which orders failures, and the
+/// node the *recipe* recorded, which a re-plan follows tombstones from (not
+/// wherever the plan last saw the chunk).
+type Entry = (usize, usize);
 
 /// All of one container's planned fetches — the unit of fan-out.
 struct Group<'a> {
-    node: usize,
+    node: Arc<DedupNode>,
     container: ContainerId,
-    fetches: Vec<PlannedFetch<'a>>,
+    /// One entry per fetch, in recipe order.
+    entries: Vec<Entry>,
+    fetches: Vec<ChunkFetch<'a>>,
 }
 
-enum GroupOutcome {
-    Done(GroupStats),
-    /// The earliest-in-recipe-order failure of the group's serial fallback.
-    Failed {
-        index: usize,
-        error: SigmaError,
-    },
-    /// The plan no longer matches reality (a payload length shifted under
-    /// it); the whole restore must re-run on the reference path.
-    Replan,
+/// A failed recipe entry: its index and its error.
+type Failure = (usize, SigmaError);
+
+/// Keeps the failure of the earliest recipe entry.
+fn keep_earliest(slot: &mut Option<Failure>, failure: Failure) {
+    if slot.as_ref().map_or(true, |(i, _)| failure.0 < *i) {
+        *slot = Some(failure);
+    }
+}
+
+/// Groups located fetches by `(node, container)`, in order of each group's
+/// first recipe index.  Fetches arrive in recipe order, so each group's
+/// fetches stay in recipe order too.
+fn group_fetches<'a>(
+    located: impl IntoIterator<Item = (Arc<DedupNode>, ContainerId, Entry, ChunkFetch<'a>)>,
+) -> Vec<Group<'a>> {
+    let mut by_container: HashMap<(usize, ContainerId), Group<'a>> = HashMap::new();
+    for (node, container, entry, fetch) in located {
+        let group = by_container
+            .entry((node.id(), container))
+            .or_insert_with(|| Group {
+                node,
+                container,
+                entries: Vec::new(),
+                fetches: Vec::new(),
+            });
+        group.entries.push(entry);
+        group.fetches.push(fetch);
+    }
+    let mut groups: Vec<Group<'a>> = by_container.into_values().collect();
+    groups.sort_unstable_by_key(|g| g.entries[0].0);
+    groups
 }
 
 impl DedupCluster {
@@ -191,6 +197,32 @@ impl DedupCluster {
         self.restore_planned(file_id, &recipe, workers.max(1))
     }
 
+    /// Reads one chunk back from the node a recipe recorded for it: the
+    /// restore pipeline run over a single entry, so forwarding tombstones are
+    /// followed and a read racing a migration is re-planned.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SigmaError::ChunkMissing`] / [`SigmaError::PayloadUnavailable`]
+    /// from the node.
+    pub fn read_chunk(&self, node: usize, fingerprint: &Fingerprint) -> Result<Vec<u8>> {
+        let hop_cap = self.directory_len();
+        let (located, location) = self.locate_chunk(node, fingerprint, hop_cap)?;
+        let mut out = vec![0u8; location.len as usize];
+        let group = Group {
+            node: located,
+            container: location.container,
+            entries: vec![(0, node)],
+            fetches: vec![ChunkFetch {
+                fingerprint: *fingerprint,
+                offset: location.offset,
+                out: &mut out,
+            }],
+        };
+        self.fetch_group(group, hop_cap).map_err(|(_, e)| e)?;
+        Ok(out)
+    }
+
     /// The plan → coalesce → assemble core.
     fn restore_planned(
         &self,
@@ -198,116 +230,74 @@ impl DedupCluster {
         recipe: &FileRecipe,
         workers: usize,
     ) -> Result<(Vec<u8>, RestoreReport)> {
-        let total: u64 = recipe.chunks.iter().map(|e| u64::from(e.len)).sum();
-        if total != recipe.size {
-            // The recipe disagrees with itself; only the reference path's
-            // end-to-end guard can produce the exact historical outcome
-            // (including its RestoreTruncated figures).
-            let bytes = self.restore_file_reference(file_id)?;
-            let report = RestoreReport::reference(&bytes, recipe.chunks.len());
-            return Ok((bytes, report));
-        }
-
-        let mut out = vec![0u8; total as usize];
-        // Carve the output into one disjoint window per recipe entry; chained
-        // `split_at_mut` keeps this safe-code-only.
-        let mut windows: Vec<Option<&mut [u8]>> = Vec::with_capacity(recipe.chunks.len());
-        {
-            let mut rest: &mut [u8] = out.as_mut_slice();
-            for entry in &recipe.chunks {
-                let (head, tail) = rest.split_at_mut(entry.len as usize);
-                windows.push(Some(head));
-                rest = tail;
-            }
-        }
-
-        // Plan: resolve every entry in recipe order (so the first locate
-        // failure surfaces in serial order) and group by (node, container).
+        // Plan: locate entries in recipe order.  A locate failure ends the
+        // plan; the entries before it are still read, so a read failure of an
+        // earlier entry takes precedence.
         let hop_cap = self.directory_len();
-        let mut by_container: HashMap<(usize, ContainerId), Vec<PlannedFetch<'_>>> = HashMap::new();
-        let mut layout_shift = false;
+        let mut failure: Option<Failure> = None;
+        let mut located = Vec::with_capacity(recipe.chunks.len());
         for (index, entry) in recipe.chunks.iter().enumerate() {
-            let (node, location) = self.locate_chunk(entry.node, &entry.fingerprint, hop_cap)?;
-            if location.len != entry.len {
-                layout_shift = true;
-                break;
-            }
-            by_container
-                .entry((node, location.container))
-                .or_default()
-                .push(PlannedFetch {
-                    index,
-                    fingerprint: entry.fingerprint,
-                    recipe_node: entry.node,
-                    offset: location.offset,
-                    out: windows[index].take().expect("each entry is carved once"),
-                });
-        }
-        if layout_shift {
-            // The index's record length disagrees with the recipe: the
-            // reference path is the arbiter of what that restore returns.
-            drop(by_container);
-            drop(windows);
-            let bytes = self.restore_file_reference(file_id)?;
-            let report = RestoreReport::reference(&bytes, recipe.chunks.len());
-            return Ok((bytes, report));
-        }
-
-        // Deterministic group order (first recipe index), then fan out.
-        let mut groups: Vec<Group<'_>> = by_container
-            .into_iter()
-            .map(|((node, container), mut fetches)| {
-                fetches.sort_unstable_by_key(|f| f.index);
-                Group {
-                    node,
-                    container,
-                    fetches,
+            match self.locate_chunk(entry.node, &entry.fingerprint, hop_cap) {
+                Ok(hit) => located.push(hit),
+                Err(error) => {
+                    failure = Some((index, error));
+                    break;
                 }
-            })
-            .collect();
-        groups.sort_unstable_by_key(|g| g.fetches[0].index);
+            }
+        }
+        let total: u64 = located.iter().map(|(_, l)| u64::from(l.len)).sum();
 
-        let outcomes = run_pool(workers, groups, |_, group| self.fetch_group(group));
+        // Carve the output into one disjoint window per located entry;
+        // chained `split_at_mut` keeps this safe-code-only.
+        let mut out = vec![0u8; total as usize];
+        let mut rest: &mut [u8] = out.as_mut_slice();
+        let planned = located.into_iter().zip(&recipe.chunks).enumerate().map(
+            |(index, ((node, location), entry))| {
+                let (window, tail) = std::mem::take(&mut rest).split_at_mut(location.len as usize);
+                rest = tail;
+                let fetch = ChunkFetch {
+                    fingerprint: entry.fingerprint,
+                    offset: location.offset,
+                    out: window,
+                };
+                (node, location.container, (index, entry.node), fetch)
+            },
+        );
+        let groups = group_fetches(planned);
 
         let mut report = RestoreReport {
             logical_bytes: total,
             parallelism: workers,
             ..RestoreReport::default()
         };
-        let mut failure: Option<(usize, SigmaError)> = None;
-        let mut replan = false;
-        for outcome in outcomes {
+        for outcome in run_pool(workers, groups, |_, group| self.fetch_group(group, hop_cap)) {
             match outcome {
-                GroupOutcome::Done(stats) => report.absorb_group(&stats),
-                GroupOutcome::Failed { index, error } => {
-                    if failure.as_ref().map_or(true, |(i, _)| index < *i) {
-                        failure = Some((index, error));
-                    }
-                }
-                GroupOutcome::Replan => replan = true,
+                Ok(stats) => report.absorb_group(&stats),
+                Err(f) => keep_earliest(&mut failure, f),
             }
-        }
-        if replan {
-            let bytes = self.restore_file_reference(file_id)?;
-            let report = RestoreReport::reference(&bytes, recipe.chunks.len());
-            return Ok((bytes, report));
         }
         if let Some((_, error)) = failure {
             return Err(error);
         }
-        debug_assert_eq!(out.len() as u64, recipe.size, "planned size was checked");
+        if total != recipe.size {
+            return Err(SigmaError::RestoreTruncated {
+                file_id,
+                expected: recipe.size,
+                actual: total,
+            });
+        }
         Ok((out, report))
     }
 
     /// Resolves a fingerprint to `(owning node, record extent)`, following
-    /// forwarding tombstones with the same lazily-computed hop cap as
-    /// [`read_chunk`](Self::read_chunk).
+    /// forwarding tombstones for at most `hop_cap` hops — the only tombstone
+    /// walk on the read path.
     fn locate_chunk(
         &self,
         node: usize,
         fingerprint: &Fingerprint,
         hop_cap: usize,
-    ) -> Result<(usize, ChunkLocation)> {
+    ) -> Result<(Arc<DedupNode>, ChunkLocation)> {
         let mut node_id = node;
         let mut hops = 0usize;
         loop {
@@ -318,7 +308,7 @@ impl DedupCluster {
                     fingerprint: fingerprint.to_string(),
                 })?;
             match current.plan_chunk_read(fingerprint) {
-                Ok(location) => return Ok((node_id, location)),
+                Ok(location) => return Ok((current, location)),
                 Err(SigmaError::ChunkMigrated { node: next, .. }) => {
                     hops += 1;
                     if hops > hop_cap {
@@ -334,80 +324,80 @@ impl DedupCluster {
         }
     }
 
-    /// Runs one group: a batched container read, with a per-chunk serial
-    /// fallback that re-follows tombstones when the batch fails (a migration
-    /// or GC raced the plan, or the group contains a synthetic chunk).
-    fn fetch_group(&self, group: Group<'_>) -> GroupOutcome {
-        let mut stats = GroupStats {
-            containers_read: 1,
-            ..GroupStats::default()
-        };
-        let meta: Vec<(usize, usize)> = group
-            .fetches
-            .iter()
-            .map(|f| (f.index, f.recipe_node))
-            .collect();
-        let mut fetches: Vec<ChunkFetch<'_>> = group
-            .fetches
-            .into_iter()
-            .map(|f| ChunkFetch {
-                fingerprint: f.fingerprint,
-                offset: f.offset,
-                out: f.out,
-            })
-            .collect();
-        let batched = match self.node_by_id(group.node) {
-            Some(node) => node.read_chunks_batched(&group.container, &mut fetches),
-            None => Err(SigmaError::ChunkMissing {
-                node: group.node,
-                fingerprint: fetches[0].fingerprint.to_string(),
-            }),
-        };
-        match batched {
-            Ok(s) => {
-                stats.chunks = s.chunks;
-                stats.backend_bytes_read = s.backend_bytes_read;
-                stats.coalesced_runs = s.coalesced_runs;
-                stats.cache_hits = s.cache_hits;
-                stats.cache_misses = s.cache_misses;
-                // Volatile serves and cache hits still copy each payload into
-                // the output exactly once.
-                stats.bytes_copied = fetches.iter().map(|f| f.out.len() as u64).sum();
-                if s.backend_bytes_read == 0 {
-                    // Served from RAM: count the logical bytes so read
-                    // amplification stays 1.0 on volatile backends...
-                    if s.cache_hits == 0 {
-                        stats.backend_bytes_read = stats.bytes_copied;
-                    }
-                    // ...but a cache hit genuinely skipped the medium.
+    /// Runs one group: a batched container read, re-planned for at most
+    /// `hop_cap` rounds while it fails because the container moved.  Returns
+    /// the group's counters, or the failure of its earliest failing entry.
+    fn fetch_group(
+        &self,
+        group: Group<'_>,
+        hop_cap: usize,
+    ) -> std::result::Result<RestoreReport, Failure> {
+        let mut stats = RestoreReport::default();
+        let mut failure: Option<Failure> = None;
+        let mut rounds = 0usize;
+        let mut pending = vec![group];
+        while let Some(mut group) = pending.pop() {
+            match group
+                .node
+                .read_chunks_batched(&group.container, &mut group.fetches)
+            {
+                Ok(s) => {
+                    let copied = group.fetches.iter().map(|f| f.out.len() as u64).sum();
+                    stats.absorb_read(&s, copied);
                 }
-                GroupOutcome::Done(stats)
-            }
-            Err(_) => {
-                let mut failure: Option<(usize, SigmaError)> = None;
-                for (fetch, (index, recipe_node)) in fetches.iter_mut().zip(&meta) {
-                    match self.read_chunk(*recipe_node, &fetch.fingerprint) {
-                        Ok(data) if data.len() == fetch.out.len() => {
-                            fetch.out.copy_from_slice(&data);
-                            stats.chunks += 1;
-                            stats.serial_fallback_chunks += 1;
-                            stats.backend_bytes_read += data.len() as u64;
-                            // One copy into the chunk's Vec, one into place.
-                            stats.bytes_copied += 2 * data.len() as u64;
-                        }
-                        Ok(_) => return GroupOutcome::Replan,
-                        Err(error) => {
-                            if failure.as_ref().map_or(true, |(i, _)| index < i) {
-                                failure = Some((*index, error));
+                Err(SigmaError::ChunkMigrated { .. } | SigmaError::ChunkMissing { .. })
+                    if rounds < hop_cap =>
+                {
+                    rounds += 1;
+                    let mut relocated = Vec::with_capacity(group.fetches.len());
+                    for (fetch, (index, recipe_node)) in
+                        group.fetches.into_iter().zip(group.entries)
+                    {
+                        match self.locate_chunk(recipe_node, &fetch.fingerprint, hop_cap) {
+                            Ok((node, location)) if location.len as usize == fetch.out.len() => {
+                                stats.serial_fallback_chunks += 1;
+                                let fetch = ChunkFetch {
+                                    offset: location.offset,
+                                    ..fetch
+                                };
+                                relocated.push((
+                                    node,
+                                    location.container,
+                                    (index, recipe_node),
+                                    fetch,
+                                ));
                             }
+                            // The extent no longer fits the window the plan
+                            // carved for it: never read into the wrong window.
+                            Ok((node, _)) => {
+                                let error = SigmaError::ChunkMissing {
+                                    node: node.id(),
+                                    fingerprint: fetch.fingerprint.to_string(),
+                                };
+                                keep_earliest(&mut failure, (index, error));
+                            }
+                            Err(error) => keep_earliest(&mut failure, (index, error)),
                         }
                     }
+                    pending.extend(group_fetches(relocated));
                 }
-                match failure {
-                    Some((index, error)) => GroupOutcome::Failed { index, error },
-                    None => GroupOutcome::Done(stats),
+                Err(error) => {
+                    // Charge the error to the entry it names, else to the
+                    // group's first entry (a container-wide failure).
+                    let named = match &error {
+                        SigmaError::PayloadUnavailable { fingerprint } => group
+                            .fetches
+                            .iter()
+                            .position(|f| f.fingerprint.to_string() == *fingerprint),
+                        _ => None,
+                    };
+                    keep_earliest(&mut failure, (group.entries[named.unwrap_or(0)].0, error));
                 }
             }
+        }
+        match failure {
+            Some(f) => Err(f),
+            None => Ok(stats),
         }
     }
 }

@@ -6,8 +6,6 @@
 //! module implements the classic table-driven Rabin fingerprint (as popularised by
 //! LBFS) with an explicit sliding window.
 
-use crate::RollingHash;
-
 /// A degree-53 irreducible polynomial over GF(2), the classic LBFS choice.
 ///
 /// The top set bit encodes the leading coefficient (x^53).
@@ -74,7 +72,7 @@ fn byte_table(m: u64, poly: u64) -> [u64; 256] {
 /// # Example
 ///
 /// ```
-/// use sigma_hashkit::{RabinHasher, RabinParams, RollingHash};
+/// use sigma_hashkit::{RabinHasher, RabinParams};
 ///
 /// let mut h = RabinHasher::new(RabinParams::default());
 /// let data = b"some streaming data that is longer than the window .....";
@@ -193,7 +191,7 @@ impl RabinHasher {
     ///
     /// Bit-identical to rolling every byte of `data` through a freshly reset
     /// hasher and testing `value()` at each qualifying prefix length, but the
-    /// hot loop avoids all the per-byte overhead of [`RollingHash::roll`]:
+    /// hot loop avoids all the per-byte overhead of [`roll`](Self::roll):
     ///
     /// * **skip-ahead** — the hash is a function of the last `window_size` bytes
     ///   only, so feeding starts at `first_check - window_size` instead of 0
@@ -300,23 +298,17 @@ impl RabinHasher {
         }
         None
     }
-}
 
-impl Default for RabinHasher {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-impl RollingHash for RabinHasher {
-    fn reset(&mut self) {
+    /// Resets the hasher to its initial (empty-window) state.
+    pub fn reset(&mut self) {
         self.hash = 0;
         self.window_pos = 0;
         self.window_filled = 0;
         self.window.iter_mut().for_each(|b| *b = 0);
     }
 
-    fn roll(&mut self, byte: u8) -> u64 {
+    /// Pushes one byte into the window and returns the updated hash value.
+    pub fn roll(&mut self, byte: u8) -> u64 {
         if self.window_filled == self.window.len() {
             let outgoing = self.window[self.window_pos];
             self.hash ^= self.remove_table[outgoing as usize];
@@ -332,12 +324,15 @@ impl RollingHash for RabinHasher {
         self.hash
     }
 
-    fn value(&self) -> u64 {
+    /// Current hash value of the window contents.
+    pub fn value(&self) -> u64 {
         self.hash
     }
+}
 
-    fn window_size(&self) -> usize {
-        self.window.len()
+impl Default for RabinHasher {
+    fn default() -> Self {
+        Self::with_defaults()
     }
 }
 

@@ -109,7 +109,7 @@ struct OpenSlot {
 /// # Example
 ///
 /// ```
-/// use sigma_storage::ContainerStore;
+/// use sigma_storage::{ChunkFetch, ContainerStore};
 /// use sigma_hashkit::{Digest, Sha1};
 ///
 /// let store = ContainerStore::new(1024 * 1024);
@@ -117,7 +117,10 @@ struct OpenSlot {
 /// let fp = Sha1::fingerprint(&payload);
 /// let location = store.store_chunk(0, fp, &payload).unwrap();
 /// store.flush().unwrap();
-/// assert_eq!(store.read_chunk(&location.container, &fp).unwrap(), payload);
+/// let mut out = vec![0u8; payload.len()];
+/// let mut fetches = [ChunkFetch { fingerprint: fp, offset: location.offset, out: &mut out }];
+/// store.read_chunks_batched(&location.container, &mut fetches).unwrap();
+/// assert_eq!(out, payload);
 /// ```
 pub struct ContainerStore {
     capacity: usize,
@@ -549,77 +552,11 @@ impl ContainerStore {
         Ok(meta)
     }
 
-    /// Reads one chunk's payload from a sealed container (restore path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::ContainerNotFound`] if the container is unknown, or
-    /// [`StorageError::ChunkNotInContainer`] if the fingerprint is not stored there.
-    pub fn read_chunk(&self, container: &ContainerId, fp: &Fingerprint) -> Result<Vec<u8>> {
-        self.data_reads.fetch_add(1, Ordering::Relaxed);
-        // Check sealed containers first, then containers still open (their contents
-        // are in memory on a real server and readable immediately).  As in
-        // read_metadata, the sealed guard is dropped before clone_open so the
-        // slot → sealed lock order of the store path is never inverted.
-        // What the sealed map knows about the chunk: on a volatile backend the
-        // payload is cloned under the guard; on a persistent backend only the
-        // record's extent is taken, and the bytes are read back *off the object
-        // file* after the guard drops — the file is the restore medium, so a
-        // byte the medium lost is a byte the restore visibly loses.
-        enum SealedHit {
-            Bytes(Vec<u8>),
-            Extent(u32, u32),
-        }
-        let sealed = {
-            let map = self.sealed.read();
-            map.get(container).map(|c| {
-                c.meta()
-                    .records
-                    .iter()
-                    .find(|r| &r.fingerprint == fp)
-                    // Synthetic (trace-driven) chunks have no payload: their
-                    // records point past the real data section.
-                    .filter(|r| (r.offset + r.len) as usize <= c.data().len())
-                    .map(|r| {
-                        if self.backend.persistent() {
-                            SealedHit::Extent(r.offset, r.len)
-                        } else {
-                            SealedHit::Bytes(
-                                c.data()[r.offset as usize..(r.offset + r.len) as usize].to_vec(),
-                            )
-                        }
-                    })
-            })
-        };
-        let data = match sealed {
-            Some(found) => match found {
-                Some(SealedHit::Bytes(bytes)) => Some(bytes),
-                Some(SealedHit::Extent(offset, len)) => Some(self.backend.read_at(
-                    StorageObject::Container(*container),
-                    (CONTAINER_BLOB_DATA_OFFSET + offset as usize) as u64,
-                    len as usize,
-                )?),
-                None => None,
-            },
-            None => {
-                let open = self
-                    .clone_open(container)
-                    .ok_or(StorageError::ContainerNotFound(*container))?;
-                open.chunk_data(fp).map(|d| d.to_vec())
-            }
-        };
-        let data = data.ok_or_else(|| StorageError::ChunkNotInContainer {
-            container: *container,
-            fingerprint: fp.to_string(),
-        })?;
-        Ok(data)
-    }
-
     /// Reads a batch of chunk payloads out of **one** container, decoding each
     /// directly into its caller-provided output slice (restore path).
     ///
-    /// Where the serial [`read_chunk`](Self::read_chunk) issues one backend
-    /// read per chunk, this coalesces: on a volatile backend every payload is
+    /// This is the store's only payload read, and it coalesces: on a volatile
+    /// backend every payload is
     /// copied out of the in-RAM data section under one sealed-map guard; on a
     /// persistent backend adjacent/nearby record extents become one
     /// [`read_at`](StorageBackend::read_at) per coalesced run — or, when a
@@ -636,7 +573,7 @@ impl ContainerStore {
     /// or [`StorageError::ChunkNotInContainer`] if any extent points past the
     /// data section (a synthetic trace-driven chunk, which has no payload).
     /// On error the output slices are in an unspecified partially-written
-    /// state; callers fall back to the serial path.
+    /// state.
     pub fn read_chunks_batched(
         &self,
         container: &ContainerId,
@@ -651,7 +588,7 @@ impl ContainerStore {
             chunks: fetches.len() as u64,
             ..BatchedReadStats::default()
         };
-        // Sealed lookup first; as in read_chunk, the guard is dropped before
+        // Sealed lookup first; as in read_metadata, the guard is dropped before
         // the open-container fallback so the slot → sealed lock order of the
         // store path is never inverted.
         enum SealedBatch {
@@ -1312,7 +1249,7 @@ mod tests {
         let (fp, data) = payload(1, 100);
         let loc = store.store_chunk(0, fp, &data).unwrap();
         store.flush().unwrap();
-        assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
+        batched_roundtrip(&store, &loc.container, &[(fp, data, loc.offset)]);
         assert_eq!(store.physical_bytes(), 100);
     }
 
@@ -1385,9 +1322,16 @@ mod tests {
         let (fp, data) = payload(1, 10);
         let loc = store.store_chunk(0, fp, &data).unwrap();
         store.flush().unwrap();
+        // An extent past the 10-byte data section names no stored chunk.
         let (other_fp, _) = payload(2, 10);
+        let mut out = vec![0u8; 10];
+        let mut fetches = [ChunkFetch {
+            fingerprint: other_fp,
+            offset: loc.offset + 10,
+            out: &mut out,
+        }];
         assert!(matches!(
-            store.read_chunk(&loc.container, &other_fp),
+            store.read_chunks_batched(&loc.container, &mut fetches),
             Err(StorageError::ChunkNotInContainer { .. })
         ));
     }
@@ -1414,12 +1358,15 @@ mod tests {
         assert_eq!(store.physical_bytes(), 2400);
         assert_eq!(store.stats().stored_chunks, 6);
         // Synthetic chunks cannot be read back.
-        let (fp0, _) = payload(0, 1);
         let cid = *containers.iter().min().unwrap();
-        assert!(
-            store.read_chunk(&cid, &fp0).is_err()
-                || store.read_chunk(&cid, &fp0).unwrap().is_empty()
-        );
+        let record = store.read_metadata(&cid).unwrap().records[0];
+        let mut out = vec![0u8; record.len as usize];
+        let mut fetches = [ChunkFetch {
+            fingerprint: record.fingerprint,
+            offset: record.offset,
+            out: &mut out,
+        }];
+        assert!(store.read_chunks_batched(&cid, &mut fetches).is_err());
     }
 
     #[test]
@@ -1459,7 +1406,7 @@ mod tests {
 
     #[test]
     fn open_container_reads_race_rollover_without_deadlock() {
-        // Regression test: read_metadata/read_chunk of a still-open container must
+        // Regression test: read_metadata of a still-open container must
         // not hold the sealed-map lock while taking slot mutexes, or they deadlock
         // against a concurrent rollover (which seals while holding a slot mutex).
         let store = Arc::new(ContainerStore::new(512));
@@ -1540,18 +1487,16 @@ mod tests {
         assert_eq!(outcome.dead_records.len(), 2);
         // Live chunks read back from the replacement at their new offsets.
         assert!(!store.contains_sealed(&victim));
-        assert_eq!(
-            store
-                .read_chunk(&outcome.replacement, &chunks[1].0)
-                .unwrap(),
-            chunks[1].1
-        );
-        assert_eq!(
-            store
-                .read_chunk(&outcome.replacement, &chunks[3].0)
-                .unwrap(),
-            chunks[3].1
-        );
+        let relocated: Vec<_> = outcome
+            .live_records
+            .iter()
+            .map(|r| {
+                let (_, data) = chunks.iter().find(|(fp, _)| *fp == r.fingerprint).unwrap();
+                (r.fingerprint, data.clone(), r.offset)
+            })
+            .collect();
+        assert!(relocated.iter().all(|(fp, _, _)| live.contains(fp)));
+        batched_roundtrip(&store, &outcome.replacement, &relocated);
         assert_eq!(store.physical_bytes(), 200);
         let stats = store.stats();
         assert_eq!(stats.sealed_containers, 1);

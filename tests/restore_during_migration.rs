@@ -11,9 +11,14 @@
 //! * **post-removal** — after the drain completes, remove further nodes so that
 //!   restores must follow multi-hop tombstone chains, and verify physical bytes
 //!   are conserved by every migration (no chunk duplicated or lost).
+//!
+//! A third, deterministic test races restores against a drain on other threads,
+//! so restore plans go stale between planning and reading and the pipeline
+//! has to re-plan.
 
 use proptest::prelude::*;
 use sigma_dedupe::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Small super-chunks and containers so even a few KB of payload produces
@@ -133,4 +138,69 @@ proptest! {
         prop_assert_eq!(cluster.stats().physical_bytes, physical_before);
         assert_all_restore(&cluster, &files);
     }
+}
+
+/// Two threads restore every file in a loop while a node-removal drain steps
+/// to the end on the main thread, for 20 rounds.  Every restore must return
+/// the bytes that were backed up, however its plan raced the migrations.
+#[test]
+fn restores_racing_a_drain_return_the_backed_up_bytes() {
+    let config = SigmaConfig::builder()
+        .super_chunk_size(4 * 1024)
+        .chunker(ChunkerParams::fixed(512))
+        .container_capacity(8 * 1024)
+        .cache_containers(4)
+        .restore_parallelism(2)
+        .build()
+        .expect("valid test config");
+    // Eight 4 KiB blocks of pseudo-random bytes; the four files share blocks.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let blocks: Vec<Vec<u8>> = (0..8)
+        .map(|_| {
+            (0..4096)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        })
+        .collect();
+    let datas: Vec<Vec<u8>> = (0..4usize)
+        .map(|f| compose(&blocks, &(0..12).map(|i| f * 3 + i * 5).collect::<Vec<_>>()))
+        .collect();
+
+    let replanned = AtomicU64::new(0);
+    for _ in 0..20 {
+        let cluster = Arc::new(DedupCluster::with_similarity_router(3, config.clone()));
+        let files = backup_all(&cluster, &datas);
+        let drained = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    while !drained.load(Ordering::Acquire) {
+                        for (file_id, expected) in &files {
+                            let (restored, report) = cluster
+                                .restore_file_with_report(*file_id)
+                                .unwrap_or_else(|e| panic!("file {file_id} failed: {e}"));
+                            assert_eq!(&restored, expected, "file {file_id} corrupted");
+                            replanned.fetch_add(report.serial_fallback_chunks, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+            start.wait();
+            let mut rebalancer = cluster.begin_remove_node(0).expect("3-node cluster");
+            while rebalancer.step().expect("no faults in this test").is_some() {}
+            drained.store(true, Ordering::Release);
+        });
+        assert_all_restore(&cluster, &files);
+    }
+    println!(
+        "re-planned chunks across 20 raced drains: {}",
+        replanned.load(Ordering::Relaxed)
+    );
 }

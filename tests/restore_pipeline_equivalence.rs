@@ -4,7 +4,7 @@
 //! `DedupCluster::restore_file` now plans per-container batched reads, serves
 //! repeats from the container read cache, and fans groups out across workers;
 //! `DedupCluster::restore_file_reference` remains the serial per-chunk
-//! arbiter.  These properties assert the two are **byte-identical** —
+//! oracle.  These properties assert the two are **byte-identical** —
 //!
 //! * across the in-memory and real-file backends,
 //! * at `restore_parallelism` ∈ {1, 2, 4},
@@ -15,7 +15,8 @@
 //! and that the pipeline's report keeps the perf contract the batching exists
 //! for: one assembly copy per logical byte (`bytes_copied == logical_bytes`,
 //! the double-copy regression guard) and read amplification that drops below
-//! 1.0 when the read cache serves a repeat restore.
+//! 1.0 when the read cache serves a repeat restore.  Recipes that disagree
+//! with the chunk index fail with the oracle's exact error.
 
 use proptest::prelude::*;
 use sigma_dedupe::prelude::*;
@@ -260,4 +261,81 @@ fn repeat_restore_on_file_backend_hits_the_read_cache() {
     assert!(second.read_amplification() < 1.0);
 
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// The restore error contract: recipes the plan cannot take literally fail
+/// exactly as the reference path does, at every parallelism — a recipe size
+/// or entry length that disagrees with the index fails the end-to-end size
+/// check, and a synthetic (payload-less) chunk fails its read.
+#[test]
+fn recipes_the_plan_cannot_take_literally_fail_like_the_reference() {
+    let cluster = Arc::new(DedupCluster::with_similarity_router(
+        2,
+        config_for(BackendKind::Memory, None),
+    ));
+    let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+    let client = BackupClient::new(cluster.clone(), 0);
+    let report = client.backup_bytes("contract.bin", &data).unwrap();
+    cluster.flush();
+    let recipe = cluster.director().recipe(report.file_id).unwrap();
+    assert_eq!(recipe.size, 20_000);
+    let register = |size: u64, chunks: Vec<RecipeEntry>| {
+        cluster
+            .director()
+            .register_file(recipe.session_id, "forged", size, chunks)
+    };
+
+    // The recipe's size claims 7 bytes more than its entries add up to.
+    let oversized = register(20_007, recipe.chunks.clone());
+    // Entry 1 claims one byte less, and the size agrees with the entries.
+    let mut short = recipe.chunks.clone();
+    short[1].len -= 1;
+    let short_entry = register(19_999, short);
+    // A synthetic chunk (descriptor only, no payload) spliced in at entry 2.
+    let fingerprint = Sha1::fingerprint(b"synthetic chunk without a payload");
+    let synthetic = SuperChunk::from_descriptors(0, vec![ChunkDescriptor::new(fingerprint, 300)]);
+    let (_, node) = cluster
+        .backup_super_chunk_with_target(1, &synthetic, None)
+        .unwrap();
+    cluster.flush();
+    let mut spliced = recipe.chunks.clone();
+    spliced.insert(
+        2,
+        RecipeEntry {
+            fingerprint,
+            len: 300,
+            node,
+        },
+    );
+    let spliced = register(20_300, spliced);
+
+    let truncated = |file_id, expected| SigmaError::RestoreTruncated {
+        file_id,
+        expected,
+        actual: 20_000,
+    };
+    let cases = [
+        (oversized, truncated(oversized, 20_007)),
+        (short_entry, truncated(short_entry, 19_999)),
+        (
+            spliced,
+            SigmaError::PayloadUnavailable {
+                fingerprint: fingerprint.to_string(),
+            },
+        ),
+    ];
+    for (file_id, expected) in cases {
+        let reference = cluster.restore_file_reference(file_id);
+        assert_eq!(
+            reference,
+            Err(expected),
+            "reference error of file {file_id}"
+        );
+        for workers in PARALLELISMS {
+            let piped = cluster
+                .restore_file_pipelined(file_id, workers)
+                .map(|(bytes, _)| bytes);
+            assert_eq!(piped, reference, "file {file_id} (x{workers})");
+        }
+    }
 }
